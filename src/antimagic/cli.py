@@ -20,6 +20,7 @@ from .constructions import (
     label_theta_prime,
     label_unidirectional_path,
 )
+from .digraph import normalize_distance_set
 from .errors import AntimagicError, InvalidDistanceSetError, InvalidParameterError
 from .generators import build_cycle, build_path, parse_forest_spec
 from .labeling import weight_profile
@@ -54,8 +55,6 @@ _SWEEPS = ("path-characterizations", "tree-characterization", "forest-lemmas",
 
 
 def _parse_distance_set(text: str) -> tuple[int, ...]:
-    from .digraph import normalize_distance_set
-
     parts = [p for chunk in text.strip().strip("{}").split(",")
              for p in chunk.split()]
     if not parts:
@@ -151,9 +150,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     profile = weight_profile(g, labels, d, clamp=args.clamp)
     print("weights:", " ".join(str(w) for w in profile.weights))
     if args.magic:
-        first = profile.weights[0]
-        if all(w == first for w in profile.weights):
-            print(f"magic constant: {first}")
+        if profile.magic_constant is not None:
+            print(f"magic constant: {profile.magic_constant}")
             return 0
         print("not magic")
         return 1
@@ -200,9 +198,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.family == "path-characterizations":
-        checks = check_path_characterizations(args.n_max or 5, jobs=args.jobs)
+        n_max = 5 if args.n_max is None else args.n_max
+        checks = check_path_characterizations(n_max, jobs=args.jobs)
     elif args.family == "tree-characterization":
-        checks = (check_tree_characterization(args.n_max or 4),)
+        n_max = 4 if args.n_max is None else args.n_max
+        checks = (check_tree_characterization(n_max),)
     elif args.family == "forest-lemmas":
         checks = check_forest_lemmas(args.total)
     elif args.family == "duality":

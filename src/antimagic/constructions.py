@@ -22,12 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .digraph import OrientedGraph, normalize_distance_set
+from .digraph import OrientedGraph, validate_distance_set
 from .errors import (
     AntimagicError,
-    InvalidDistanceSetError,
     InvalidParameterError,
     TheoremPreconditionError,
+    require_int,
 )
 from .generators import (
     PHI,
@@ -74,12 +74,8 @@ def _finish(
 
 def label_unidirectional_path(n: int, d_set: Iterable[int]) -> ConstructionResult:
     """Antimagic labeling of the forward path for any D reaching depth <= 1."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 3:
-        raise InvalidParameterError(f"path order must be >= 3, got {n!r}")
-    ds = normalize_distance_set(d_set)
-    if ds[-1] > n - 1:
-        raise InvalidDistanceSetError(
-            f"max distance {ds[-1]} exceeds partial diameter {n - 1}")
+    require_int("path order", n, lo=3)
+    ds = validate_distance_set(d_set, n - 1)
     if ds[0] > 1:
         raise TheoremPreconditionError(
             f"the one-way path construction needs min(D) <= 1, got {ds[0]}")
@@ -88,10 +84,7 @@ def label_unidirectional_path(n: int, d_set: Iterable[int]) -> ConstructionResul
 
 
 def _check_theta_d_set(n: int, d_set: Iterable[int]) -> tuple[int, ...]:
-    ds = normalize_distance_set(d_set)
-    if ds[-1] > n - 2:
-        raise InvalidDistanceSetError(
-            f"max distance {ds[-1]} exceeds partial diameter {n - 2}")
+    ds = validate_distance_set(d_set, n - 2)
     if 0 not in ds or (n - 2) not in ds:
         raise TheoremPreconditionError(
             f"the theta constructions need {{0, {n - 2}}} inside D, got {set(ds)}")
@@ -99,16 +92,14 @@ def _check_theta_d_set(n: int, d_set: Iterable[int]) -> tuple[int, ...]:
 
 
 def label_theta_prime(n: int, d_set: Iterable[int]) -> ConstructionResult:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 3:
-        raise InvalidParameterError(f"path order must be >= 3, got {n!r}")
+    require_int("path order", n, lo=3)
     ds = _check_theta_d_set(n, d_set)
     labels = [1] + [n - i + 1 for i in range(1, n)]
     return _finish(build_path(n, "theta-prime"), labels, ds, TAG_THETA_PRIME)
 
 
 def label_theta_double_prime(n: int, d_set: Iterable[int]) -> ConstructionResult:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 3:
-        raise InvalidParameterError(f"path order must be >= 3, got {n!r}")
+    require_int("path order", n, lo=3)
     ds = _check_theta_d_set(n, d_set)
     labels = list(range(1, n + 1))
     return _finish(build_path(n, "theta-double-prime"), labels, ds,
@@ -126,27 +117,18 @@ def _mpn_labels(m: int, n: int) -> list[int]:
 
 def label_mpn(m: int, n: int, k: int) -> ConstructionResult:
     """{0, k}-antimagic labeling of m phi-oriented copies of the n-path."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise InvalidParameterError(f"copy count must be >= 1, got {m!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidParameterError(f"path order must be >= 1, got {n!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= n - 1:
-        raise InvalidParameterError(
-            f"k must satisfy 1 <= k <= n - 1 = {n - 1}, got {k!r}")
+    require_int("copy count", m, lo=1)
+    require_int("path order", n, lo=1)
+    require_int("k", k, 1, n - 1)
     graph = build_forest(mpn_spec(m, n))
     return _finish(graph, _mpn_labels(m, n), (0, k), TAG_MPN_ZERO_K)
 
 
 def label_mpn_general(m: int, n: int, d_set: Iterable[int]) -> ConstructionResult:
     """D-antimagic labeling of m phi-oriented copies of the n-path, min(D) = 0."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-        raise InvalidParameterError(f"copy count must be >= 2, got {m!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise InvalidParameterError(f"path order must be >= 2, got {n!r}")
-    ds = normalize_distance_set(d_set)
-    if ds[-1] > n - 1:
-        raise InvalidDistanceSetError(
-            f"max distance {ds[-1]} exceeds partial diameter {n - 1}")
+    require_int("copy count", m, lo=2)
+    require_int("path order", n, lo=2)
+    ds = validate_distance_set(d_set, n - 1)
     if ds[0] != 0:
         raise TheoremPreconditionError(
             f"the copies-of-a-path construction needs min(D) = 0, got {ds[0]}")

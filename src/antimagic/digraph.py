@@ -21,6 +21,7 @@ from .errors import (
     InvalidDistanceSetError,
     InvalidParameterError,
     NotAPathError,
+    require_int,
 )
 
 # classification labels for path orientations
@@ -38,9 +39,7 @@ class OrientedGraph:
     arcs: frozenset[tuple[int, int]]
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]) -> None:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise InvalidParameterError(
-                f"vertex count must be a positive int, got {n!r}")
+        require_int("vertex count", n, lo=1)
         arc_set = frozenset((int(u), int(v)) for u, v in arcs)
         for u, v in arc_set:
             if not (0 <= u < n and 0 <= v < n):
@@ -124,6 +123,16 @@ def all_pairs_distances(g: OrientedGraph) -> DistanceMatrix:
                     queue.append(w)
         rows.append(tuple(dist))
     return DistanceMatrix(tuple(rows))
+
+
+def _resolve_dm(g: OrientedGraph, dm: DistanceMatrix | None) -> DistanceMatrix:
+    """dm when given and sized for g, else the distances of g computed now."""
+    if dm is None:
+        return all_pairs_distances(g)
+    if dm.n != g.n:
+        raise InvalidParameterError(
+            f"distance matrix is {dm.n}x{dm.n} but the graph has {g.n} vertices")
+    return dm
 
 
 def partial_diameter(g: OrientedGraph) -> int:

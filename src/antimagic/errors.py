@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Any
+
 
 class AntimagicError(Exception):
     """Base class for every error this package raises on purpose."""
@@ -21,3 +23,24 @@ class InvalidDistanceSetError(AntimagicError, ValueError):
 
 class TheoremPreconditionError(AntimagicError):
     """An operation was invoked outside the hypotheses it needs."""
+
+
+def is_int(value: object) -> bool:
+    """True for a plain int; bool is an int subclass but never a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def require_int(name: str, value: Any, lo: int | None = None,
+                hi: int | None = None) -> int:
+    """Return value when it is an int inside [lo, hi], else raise.
+
+    Either bound may be None for no limit on that side.
+    """
+    if (not is_int(value) or (lo is not None and value < lo)
+            or (hi is not None and value > hi)):
+        if hi is None:
+            wanted = "an integer" if lo is None else f"an integer >= {lo}"
+        else:
+            wanted = f"an integer from {lo} to {hi}"
+        raise InvalidParameterError(f"{name} must be {wanted}, got {value!r}")
+    return value

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .digraph import OrientedGraph
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, require_int
 
 FORWARD = "forward"
 PHI = "phi"
@@ -48,11 +48,8 @@ def _mask_to_bits(orientation: int | str, width: int) -> tuple[int, ...]:
                 f"orientation bitmask {orientation!r} must be {width} binary digits")
         # text reads most significant bit first
         return tuple(int(c) for c in reversed(text))
-    if not isinstance(orientation, int) or isinstance(orientation, bool):
-        raise InvalidParameterError(f"bad orientation {orientation!r}")
-    if not 0 <= orientation < (1 << width) or (width == 0 and orientation != 0):
-        raise InvalidParameterError(
-            f"orientation bitmask {orientation} out of range for {width} edges")
+    require_int(f"orientation bitmask for {width} edges", orientation,
+                0, (1 << width) - 1)
     return tuple((orientation >> i) & 1 for i in range(width))
 
 
@@ -71,8 +68,7 @@ def build_path(n: int, orientation: int | str = FORWARD) -> OrientedGraph:
     "theta-double-prime" (both need n >= 3), or an edge-direction bitmask
     given as an int or a binary string of exactly n-1 digits.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidParameterError(f"path order must be >= 1, got {n!r}")
+    require_int("path order", n, lo=1)
     if orientation == FORWARD:
         bits: tuple[int, ...] = (1,) * (n - 1)
     elif orientation == THETA_PRIME_ORIENTATION:
@@ -90,15 +86,13 @@ def build_path(n: int, orientation: int | str = FORWARD) -> OrientedGraph:
 
 def build_cycle(n: int) -> OrientedGraph:
     """One-way cycle 0 -> 1 -> ... -> n-1 -> 0; needs n >= 3 to stay oriented."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 3:
-        raise InvalidParameterError(f"cycle order must be >= 3, got {n!r}")
+    require_int("cycle order", n, lo=3)
     return OrientedGraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def enumerate_path_orientations(n: int) -> Iterator[OrientedGraph]:
     """All 2^(n-1) orientations of the n-path, in bitmask order."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidParameterError(f"path order must be >= 1, got {n!r}")
+    require_int("path order", n, lo=1)
     for mask in range(1 << (n - 1)):
         yield build_path(n, mask)
 
@@ -283,11 +277,7 @@ def enumerate_trees(n: int) -> Iterator[OrientedGraph]:
     lexicographically sorted edge list.  Each labeled tree appears exactly
     once.  Guarded to n <= 8; the space explodes past that.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidParameterError(f"tree order must be >= 1, got {n!r}")
-    if n > MAX_TREE_ORDER:
-        raise InvalidParameterError(
-            f"tree enumeration is capped at order {MAX_TREE_ORDER}")
+    require_int("tree order", n, 1, MAX_TREE_ORDER)
     if n == 1:
         yield OrientedGraph(1, [])
         return

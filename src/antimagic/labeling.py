@@ -22,9 +22,8 @@ from typing import Iterable, Sequence
 from .digraph import (
     DistanceMatrix,
     OrientedGraph,
-    all_pairs_distances,
+    _resolve_dm,
     is_strongly_connected,
-    normalize_distance_set,
     validate_distance_set,
 )
 from .errors import (
@@ -54,14 +53,11 @@ class WeightProfile:
     def distinct(self) -> bool:
         return not self.collisions
 
-
-def _resolve_dm(g: OrientedGraph, dm: DistanceMatrix | None) -> DistanceMatrix:
-    if dm is None:
-        return all_pairs_distances(g)
-    if dm.n != g.n:
-        raise InvalidParameterError(
-            f"distance matrix is {dm.n}x{dm.n} but the graph has {g.n} vertices")
-    return dm
+    @property
+    def magic_constant(self) -> int | None:
+        """The weight every vertex shares, or None when two weights differ."""
+        first = self.weights[0]
+        return first if self.weights.count(first) == len(self.weights) else None
 
 
 def d_neighborhood(
@@ -143,11 +139,7 @@ def is_d_magic(
     clamp: bool = False,
 ) -> int | None:
     """The magic constant when every weight agrees, else None."""
-    profile = weight_profile(g, labels, d_set, dm=dm, clamp=clamp)
-    first = profile.weights[0]
-    if all(w == first for w in profile.weights):
-        return first
-    return None
+    return weight_profile(g, labels, d_set, dm=dm, clamp=clamp).magic_constant
 
 
 def complement_distance_set(
@@ -158,10 +150,7 @@ def complement_distance_set(
     d_set must be a proper non-empty subset of that range so both the set
     and its complement remain valid distance sets.
     """
-    ds = normalize_distance_set(d_set)
-    if ds[-1] > partial_diam:
-        raise InvalidDistanceSetError(
-            f"max distance {ds[-1]} exceeds partial diameter {partial_diam}")
+    ds = validate_distance_set(d_set, partial_diam)
     comp = tuple(d for d in range(partial_diam + 1) if d not in set(ds))
     if not comp:
         raise InvalidDistanceSetError(
@@ -225,8 +214,6 @@ def check_duality(
     profile_d = weight_profile(g, labels, ds, dm=dm)
     profile_c = weight_profile(g, labels, comp, dm=dm)
     n = g.n
-    magic_d = is_d_magic(g, labels, ds, dm=dm)
-    magic_c = is_d_magic(g, labels, comp, dm=dm)
     return DualityReport(
         d_set=ds,
         complement_set=comp,
@@ -235,8 +222,8 @@ def check_duality(
             a + b for a, b in zip(profile_d.weights, profile_c.weights)),
         antimagic_d=profile_d.distinct,
         antimagic_complement=profile_c.distinct,
-        magic_d=magic_d,
-        magic_complement=magic_c,
+        magic_d=profile_d.magic_constant,
+        magic_complement=profile_c.magic_constant,
     )
 
 

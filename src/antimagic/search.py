@@ -14,17 +14,20 @@ Such reports carry shortcut=True and candidates_examined=0.
 
 Sweep helpers re-check the characterization theorems mechanically.
 Each returns a CharacterizationCheck whose counterexamples tuple must
-stay empty; swept = checked + skipped, where skipped counts candidate
-distance sets that are invalid for the graph at hand (max beyond its
-partial diameter).
+stay empty.  In the path, tree and forest sweeps swept = checked +
+skipped, where skipped counts candidate distance sets that are invalid
+for the graph at hand (max beyond its partial diameter).  The duality
+and magic window sweeps report swept as the number of graphs and
+checked as the cases tried on them, and skip nothing.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations, islice, permutations, product
 from math import factorial
 from typing import Iterable, Iterator
@@ -35,6 +38,7 @@ from .digraph import (
     UNIDIRECTIONAL,
     DistanceMatrix,
     OrientedGraph,
+    _resolve_dm,
     all_pairs_distances,
     classify_path_orientation,
     is_strongly_connected,
@@ -42,7 +46,7 @@ from .digraph import (
     normalize_distance_set,
     validate_distance_set,
 )
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, require_int
 from .generators import (
     EXPLICIT,
     LinearForestSpec,
@@ -132,6 +136,18 @@ def _split_range(total: int, jobs: int) -> list[tuple[int, int]]:
     return chunks
 
 
+def _pool_size(jobs: int, tasks: int) -> int:
+    """Pool size for tasks units of work: jobs, capped at the usable CPUs."""
+    require_int("jobs", jobs, lo=1)
+    if jobs == 1:  # sweeps take this path ~10^5 times; skip the CPU query
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(jobs, cpus, tasks)
+
+
 def exhaustive_labeling_search(
     g: OrientedGraph,
     d_set: Iterable[int],
@@ -143,39 +159,29 @@ def exhaustive_labeling_search(
 ) -> SearchReport:
     """Hunt for the lex-least antimagic labeling by brute force."""
     started = time.perf_counter()
-    if dm is None:
-        dm = all_pairs_distances(g)
-    elif dm.n != g.n:
-        raise InvalidParameterError(
-            "distance matrix size does not match the graph")
+    dm = _resolve_dm(g, dm)
     ds = validate_distance_set(d_set, dm.partial_diameter)
-    if budget is not None and (
-            not isinstance(budget, int) or isinstance(budget, bool)
-            or budget < 1):
-        raise InvalidParameterError(
-            f"budget must be a positive integer, got {budget!r}")
-    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-        raise InvalidParameterError(
-            f"jobs must be a positive integer, got {jobs!r}")
+    if budget is not None:
+        require_int("budget", budget, lo=1)
     n = g.n
     if budget is None and n > MAX_EXHAUSTIVE_ORDER:
         raise InvalidParameterError(
             f"unbudgeted search is capped at order {MAX_EXHAUSTIVE_ORDER}; "
             "pass budget= to scan a prefix of the space")
+    space = factorial(n)
+    total = space if budget is None else min(budget, space)
+    workers = _pool_size(jobs, total)
     if use_pruning and necessary_condition_distinct_neighborhoods(
             g, ds, dm=dm) is not None:
         return SearchReport(EXHAUSTED_NONE, None, 0,
                             time.perf_counter() - started, shortcut=True)
-    space = factorial(n)
-    total = space if budget is None else min(budget, space)
     nbhd = neighborhood_table(g, ds, dm=dm)
-    if jobs == 1:
+    if workers == 1:
         hit = _scan_range((nbhd, n, 0, total))
     else:
         hit = None
-        chunks = _split_range(total, jobs)
-        work = [(nbhd, n, a, b) for a, b in chunks]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        work = [(nbhd, n, a, b) for a, b in _split_range(total, workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for result in pool.map(_scan_range, work):
                 if result is not None:
                     hit = result
@@ -198,8 +204,6 @@ def exhaustive_magic_search(
     if g.n > MAX_MAGIC_ORDER:
         raise InvalidParameterError(
             f"the magic scan is capped at order {MAX_MAGIC_ORDER}")
-    if dm is None:
-        dm = all_pairs_distances(g)
     nbhd = neighborhood_table(g, d_set, dm=dm)
     hits = []
     for labels in permutations(range(1, g.n + 1)):
@@ -218,6 +222,16 @@ def exhaustive_magic_search(
     return tuple(hits)
 
 
+def _lex_rank(labels: tuple[int, ...]) -> int:
+    """0-based position of a permutation of 1..n in lexicographic order."""
+    rest = sorted(labels)
+    rank = 0
+    for label in labels:
+        rank = rank * len(rest) + rest.index(label)
+        rest.remove(label)
+    return rank
+
+
 def enumerate_oriented_graphs(n: int) -> Iterator[OrientedGraph]:
     """Every oriented graph on vertices 0..n-1, in a fixed documented order.
 
@@ -225,8 +239,7 @@ def enumerate_oriented_graphs(n: int) -> Iterator[OrientedGraph]:
     carries no arc, the low-to-high arc, or the high-to-low arc, with
     the last pair varying fastest.  That is 3 ** (n choose 2) graphs.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidParameterError(f"order must be a positive integer, got {n!r}")
+    require_int("order", n, lo=1)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for digits in product((0, 1, 2), repeat=len(pairs)):
         arcs = []
@@ -252,9 +265,7 @@ def find_magic_graph(
     totals the labelings tried across qualifying graphs.
     """
     started = time.perf_counter()
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_GRAPH_HUNT_ORDER:
-        raise InvalidParameterError(
-            f"the graph hunt covers orders 1 to {MAX_GRAPH_HUNT_ORDER}, got {n!r}")
+    require_int("graph hunt order", n, 1, MAX_GRAPH_HUNT_ORDER)
     ds = normalize_distance_set(d_set)
     examined = 0
     for g in enumerate_oriented_graphs(n):
@@ -263,25 +274,13 @@ def find_magic_graph(
         dm = all_pairs_distances(g)
         if ds[-1] > dm.partial_diameter:
             continue
-        nbhd = neighborhood_table(g, ds, dm=dm)
-        for labels in permutations(range(1, n + 1)):
-            examined += 1
-            lam = None
-            for hood in nbhd:
-                w = 0
-                for u in hood:
-                    w += labels[u]
-                if lam is None:
-                    lam = w
-                elif w != lam:
-                    lam = -1
-                    break
-            if lam == -1:
-                continue
+        for labels, lam in exhaustive_magic_search(g, ds, dm=dm):
             if target is None or lam == target:
                 return SearchReport(
-                    FOUND, labels, examined, time.perf_counter() - started,
+                    FOUND, labels, examined + _lex_rank(labels) + 1,
+                    time.perf_counter() - started,
                     witness_graph=g, magic_constant=lam)
+        examined += factorial(n)
     return SearchReport(EXHAUSTED_NONE, None, examined,
                         time.perf_counter() - started)
 
@@ -291,7 +290,13 @@ def find_magic_graph(
 
 @dataclass(frozen=True)
 class CharacterizationCheck:
-    """Tally of one theorem re-checked mechanically over a swept domain."""
+    """Tally of one theorem re-checked mechanically over a swept domain.
+
+    checked counts the cases compared against the theorem and skipped
+    the candidate distance sets invalid for their graph.  swept is
+    checked + skipped, except in the duality and magic window sweeps,
+    where it counts the graphs swept.
+    """
 
     theorem_tag: str
     swept: int
@@ -304,15 +309,47 @@ class CharacterizationCheck:
         return not self.counterexamples
 
 
+@dataclass
+class _Tally:
+    """Running counts of one sweep family, frozen by check() at the end."""
+
+    tag: str
+    checked: int = 0
+    skipped: int = 0
+    counterexamples: list[tuple] = field(default_factory=list)
+
+    def record(self, counterexamples: Iterable[tuple] = ()) -> None:
+        """Count one check; any counterexample it turned up fails it."""
+        self.checked += 1
+        self.counterexamples.extend(counterexamples)
+
+    def merge(self, other: _Tally | CharacterizationCheck) -> None:
+        self.checked += other.checked
+        self.skipped += other.skipped
+        self.counterexamples.extend(other.counterexamples)
+
+    def check(self, swept: int | None = None) -> CharacterizationCheck:
+        """The finished tally; swept defaults to checked + skipped."""
+        if swept is None:
+            swept = self.checked + self.skipped
+        return CharacterizationCheck(self.tag, swept, self.checked,
+                                     self.skipped, tuple(self.counterexamples))
+
+
 def _powerset(pool: Iterable[int]) -> Iterator[tuple[int, ...]]:
     items = tuple(pool)
     return chain.from_iterable(
         combinations(items, r) for r in range(len(items) + 1))
 
 
-def _sweep_path_mask(
-    args: tuple[int, int],
-) -> tuple[tuple[str, int, int, tuple], ...]:
+def _proper_subsets(partial_diam: int) -> Iterator[tuple[int, ...]]:
+    """Non-empty subsets of {0..partial_diam} with a non-empty complement."""
+    items = range(partial_diam + 1)
+    return chain.from_iterable(
+        combinations(items, r) for r in range(1, partial_diam + 1))
+
+
+def _sweep_path_mask(args: tuple[int, int]) -> tuple[_Tally, ...]:
     """Check all four path families on one oriented path (worker body)."""
     n, mask = args
     g = build_path(n, mask)
@@ -342,39 +379,17 @@ def _sweep_path_mask(
     )
     out = []
     for tag, domain, predict in families:
-        checked = skipped = 0
-        cexs = []
+        tally = _Tally(tag)
         for ds in domain:
             if ds[-1] > pd:
-                skipped += 1
+                tally.skipped += 1
                 continue
             predicted = predict(ds)
             found = exists(ds)
-            checked += 1
-            if found != predicted:
-                cexs.append((n, mask, ds, predicted, found))
-        out.append((tag, checked, skipped, tuple(cexs)))
+            tally.record([] if found == predicted
+                         else [(n, mask, ds, predicted, found)])
+        out.append(tally)
     return tuple(out)
-
-
-def _merge_family_rows(
-    results: Iterable[tuple[tuple[str, int, int, tuple], ...]],
-) -> tuple[CharacterizationCheck, ...]:
-    order: list[str] = []
-    acc: dict[str, list] = {}
-    for rows in results:
-        for tag, checked, skipped, cexs in rows:
-            if tag not in acc:
-                acc[tag] = [0, 0, []]
-                order.append(tag)
-            slot = acc[tag]
-            slot[0] += checked
-            slot[1] += skipped
-            slot[2].extend(cexs)
-    return tuple(
-        CharacterizationCheck(tag, acc[tag][0] + acc[tag][1], acc[tag][0],
-                              acc[tag][1], tuple(acc[tag][2]))
-        for tag in order)
 
 
 def check_path_characterizations(
@@ -395,36 +410,34 @@ def check_path_characterizations(
     * 0 and the next-to-longest distance present, nothing longer:
       antimagic exactly for the one-way and the two theta orientations
     """
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or not 3 <= n_max <= 7:
-        raise InvalidParameterError(
-            f"path sweeps cover orders 3 to 7, got {n_max!r}")
+    require_int("path sweep order", n_max, 3, 7)
     work = [(n, mask)
             for n in range(3, n_max + 1)
             for mask in range(2 ** (n - 1))]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _pool_size(jobs, len(work))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_path_mask, work))
     else:
         results = [_sweep_path_mask(item) for item in work]
-    return _merge_family_rows(results)
+    merged: dict[str, _Tally] = {}
+    for tallies in results:
+        for tally in tallies:
+            merged.setdefault(tally.tag, _Tally(tally.tag)).merge(tally)
+    return tuple(tally.check() for tally in merged.values())
 
 
 def check_tree_characterization(n_max: int) -> CharacterizationCheck:
     """Trees with D = {1} are antimagic exactly when they are one-way paths."""
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or not 2 <= n_max <= 6:
-        raise InvalidParameterError(
-            f"tree sweeps cover orders 2 to 6, got {n_max!r}")
-    checked = 0
-    cexs = []
+    require_int("tree sweep order", n_max, 2, 6)
+    tally = _Tally(TREE_DEPTH_ONE)
     for n in range(2, n_max + 1):
         for g in enumerate_trees(n):
             predicted = is_unidirectional_path(g)
             found = exhaustive_labeling_search(g, (1,)).found
-            checked += 1
-            if found != predicted:
-                cexs.append((n, tuple(sorted(g.arcs)), (1,), predicted, found))
-    return CharacterizationCheck(TREE_DEPTH_ONE, checked, checked, 0,
-                                 tuple(cexs))
+            tally.record([] if found == predicted else
+                         [(n, tuple(sorted(g.arcs)), (1,), predicted, found)])
+    return tally.check()
 
 
 def _partitions(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -456,12 +469,10 @@ def check_forest_lemmas(
       (any other uniform orientation cannot even pose the question, so
       those rows count as skipped)
     """
-    if not isinstance(max_total_order, int) or isinstance(max_total_order, bool) \
-            or not 2 <= max_total_order <= 8:
-        raise InvalidParameterError(
-            f"forest sweeps cover total orders 2 to 8, got {max_total_order!r}")
-    fam1: list = [0, 0, []]
-    fam2: list = [0, 0, []]
+    require_int("forest sweep total order", max_total_order, 2, 8)
+    fam1, fam2, fam3, fam4, fam5 = (_Tally(tag) for tag in (
+        FOREST_MIN_ONE_MULTI, FOREST_MIN_TWO_PLUS, FOREST_COPIES_MIN_ZERO,
+        FOREST_MIXED_ZERO_ONE, FOREST_UNIFORM_ZERO_TOP))
     for total in range(2, max_total_order + 1):
         for parts in _partitions(total):
             if len(parts) < 2:
@@ -479,18 +490,15 @@ def check_forest_lemmas(
                     (fam1, ((1,) + extra for extra in _powerset(range(2, top)))),
                     (fam2, (ds for ds in _powerset(range(2, top)) if ds)),
                 )
-                for slot, domain in domains:
+                for tally, domain in domains:
                     for ds in domain:
                         if ds[-1] > pd:
-                            slot[1] += 1
+                            tally.skipped += 1
                             continue
                         found = exhaustive_labeling_search(g, ds, dm=dm).found
-                        slot[0] += 1
-                        if found:
-                            slot[2].append((lengths, bits, ds, False, True))
+                        tally.record([(lengths, bits, ds, False, True)]
+                                     if found else [])
 
-    fam3: list = [0, 0, []]
-    fam5: list = [0, 0, []]
     for n in range(2, max_total_order + 1):
         for m in range(2, max_total_order // n + 1):
             g = build_forest(mpn_spec(m, n))
@@ -498,24 +506,21 @@ def check_forest_lemmas(
             for extra in _powerset(range(1, n)):
                 ds = (0,) + extra
                 found = exhaustive_labeling_search(g, ds, dm=dm).found
-                fam3[0] += 1
-                if not found:
-                    fam3[2].append(((m, n), "tail-to-head", ds, True, False))
+                fam3.record([] if found else
+                            [((m, n), "tail-to-head", ds, True, False)])
             for copy_mask in range(2 ** (n - 1)):
                 copy_bits = tuple((copy_mask >> b) & 1 for b in range(n - 1))
                 uniform = build_forest(mpn_spec(m, n, EXPLICIT, copy_bits * m))
                 udm = all_pairs_distances(uniform)
                 ds = (0, n - 1)
                 if udm.partial_diameter < n - 1:
-                    fam5[1] += 1
+                    fam5.skipped += 1
                     continue
                 predicted = copy_mask in (0, 2 ** (n - 1) - 1)
                 found = exhaustive_labeling_search(uniform, ds, dm=udm).found
-                fam5[0] += 1
-                if found != predicted:
-                    fam5[2].append(((m, n), copy_bits, ds, predicted, found))
+                fam5.record([] if found == predicted else
+                            [((m, n), copy_bits, ds, predicted, found)])
 
-    fam4: list = [0, 0, []]
     for total in range(2, max_total_order + 1):
         for parts in _partitions(total):
             if len(parts) < 2:
@@ -525,23 +530,13 @@ def check_forest_lemmas(
             g = build_forest(spec)
             dm = all_pairs_distances(g)
             if dm.partial_diameter < 1:
-                fam4[1] += 1
+                fam4.skipped += 1
                 continue
             found = exhaustive_labeling_search(g, (0, 1), dm=dm).found
-            fam4[0] += 1
-            if not found:
-                fam4[2].append((lengths, "tail-to-head", (0, 1), True, False))
+            fam4.record([] if found else
+                        [(lengths, "tail-to-head", (0, 1), True, False)])
 
-    return tuple(
-        CharacterizationCheck(tag, slot[0] + slot[1], slot[0], slot[1],
-                              tuple(slot[2]))
-        for tag, slot in (
-            (FOREST_MIN_ONE_MULTI, fam1),
-            (FOREST_MIN_TWO_PLUS, fam2),
-            (FOREST_COPIES_MIN_ZERO, fam3),
-            (FOREST_MIXED_ZERO_ONE, fam4),
-            (FOREST_UNIFORM_ZERO_TOP, fam5),
-        ))
+    return tuple(tally.check() for tally in (fam1, fam2, fam3, fam4, fam5))
 
 
 @dataclass(frozen=True)
@@ -604,20 +599,16 @@ def duality_sweep_graph(
     if trials is None and g.n > 6:
         raise InvalidParameterError(
             "exhaustive duality checks are capped at order 6; pass trials=")
+    if trials is not None:
+        require_int("trials", trials, lo=1)
     dm = all_pairs_distances(g)
-    pd = dm.partial_diameter
-    checked = 0
-    cexs = []
-    for ds in _powerset(range(pd + 1)):
-        if not ds or len(ds) == pd + 1:
-            continue
+    tally = _Tally(COMPLEMENT_DUALITY)
+    for ds in _proper_subsets(dm.partial_diameter):
         for labels in _label_iter(g.n, trials, seed):
             report = check_duality(g, labels, ds, dm=dm)
-            checked += 1
-            if not report.ok:
-                cexs.append((tuple(sorted(g.arcs)), ds, labels))
-    return CharacterizationCheck(COMPLEMENT_DUALITY, 1, checked, 0,
-                                 tuple(cexs))
+            tally.record([] if report.ok else
+                         [(tuple(sorted(g.arcs)), ds, labels)])
+    return tally.check(swept=1)
 
 
 def duality_sweep(
@@ -627,21 +618,17 @@ def duality_sweep(
     seed: int = 0,
 ) -> CharacterizationCheck:
     """Complement identity over every strongly connected graph of one order."""
-    if not isinstance(order, int) or isinstance(order, bool) \
-            or not 2 <= order <= MAX_DUALITY_ORDER:
-        raise InvalidParameterError(
-            f"duality sweeps cover orders 2 to {MAX_DUALITY_ORDER}, got {order!r}")
-    swept = checked = 0
-    cexs: list[tuple] = []
+    require_int("duality sweep order", order, 2, MAX_DUALITY_ORDER)
+    if trials is not None:
+        require_int("trials", trials, lo=1)
+    swept = 0
+    tally = _Tally(COMPLEMENT_DUALITY)
     for g in enumerate_oriented_graphs(order):
         if not is_strongly_connected(g):
             continue
         swept += 1
-        sub = duality_sweep_graph(g, trials=trials, seed=seed)
-        checked += sub.checked
-        cexs.extend(sub.counterexamples)
-    return CharacterizationCheck(COMPLEMENT_DUALITY, swept, checked, 0,
-                                 tuple(cexs))
+        tally.merge(duality_sweep_graph(g, trials=trials, seed=seed))
+    return tally.check(swept)
 
 
 def magic_bound_sweep(order: int) -> CharacterizationCheck:
@@ -652,28 +639,21 @@ def magic_bound_sweep(order: int) -> CharacterizationCheck:
     checked counts (graph, distance set) pairs whose magic labelings
     were enumerated.
     """
-    if not isinstance(order, int) or isinstance(order, bool) \
-            or not 3 <= order <= MAX_GRAPH_HUNT_ORDER:
-        raise InvalidParameterError(
-            f"the magic window sweep covers orders 3 to "
-            f"{MAX_GRAPH_HUNT_ORDER}, got {order!r}")
+    require_int("magic window sweep order", order, 3, MAX_GRAPH_HUNT_ORDER)
     low = 5
     high = order * (order + 1) // 2 - 5
-    swept = checked = 0
-    cexs = []
+    swept = 0
+    tally = _Tally(MAGIC_WINDOW)
     for g in enumerate_oriented_graphs(order):
         if not is_strongly_connected(g):
             continue
         swept += 1
         dm = all_pairs_distances(g)
-        for ds in _powerset(range(dm.partial_diameter + 1)):
-            if not ds or len(ds) == dm.partial_diameter + 1:
-                continue
-            checked += 1
-            for labels, lam in exhaustive_magic_search(g, ds, dm=dm):
-                if not low <= lam <= high:
-                    cexs.append((tuple(sorted(g.arcs)), ds, labels, lam))
-    return CharacterizationCheck(MAGIC_WINDOW, swept, checked, 0, tuple(cexs))
+        for ds in _proper_subsets(dm.partial_diameter):
+            tally.record((tuple(sorted(g.arcs)), ds, labels, lam)
+                         for labels, lam in exhaustive_magic_search(g, ds, dm=dm)
+                         if not low <= lam <= high)
+    return tally.check(swept)
 
 
 @dataclass(frozen=True)
@@ -697,10 +677,7 @@ def survey_neighborhood_sufficiency(order: int) -> NeighborhoodSurvey:
     the search.  At small orders the gap is zero; nothing here proves
     it stays zero, hence a survey rather than a theorem sweep.
     """
-    if not isinstance(order, int) or isinstance(order, bool) \
-            or not 1 <= order <= MAX_SURVEY_ORDER:
-        raise InvalidParameterError(
-            f"the survey covers orders 1 to {MAX_SURVEY_ORDER}, got {order!r}")
+    require_int("survey order", order, 1, MAX_SURVEY_ORDER)
     pairs = necessary_ok = antimagic = gap = 0
     for g in enumerate_oriented_graphs(order):
         dm = all_pairs_distances(g)

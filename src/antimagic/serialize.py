@@ -14,7 +14,7 @@ from typing import Any, Sequence
 
 from .constructions import ConstructionResult
 from .digraph import OrientedGraph
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, is_int, require_int
 from .labeling import DualityReport, WeightProfile, check_labeling, weight_profile
 from .search import CharacterizationCheck, SearchReport
 
@@ -30,14 +30,11 @@ def graph_from_dict(obj: Any) -> OrientedGraph:
     if not isinstance(obj, dict) or "n" not in obj or "arcs" not in obj:
         raise InvalidParameterError(
             'a graph document needs the keys "n" and "arcs"')
-    n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InvalidParameterError(f'"n" must be an integer, got {n!r}')
+    n = require_int('"n"', obj["n"])
     arcs = []
     for entry in obj["arcs"]:
         if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                or any(not isinstance(x, int) or isinstance(x, bool)
-                       for x in entry)):
+                or not all(is_int(x) for x in entry)):
             raise InvalidParameterError(
                 f"each arc must be a pair of integers, got {entry!r}")
         u, v = entry
@@ -56,8 +53,7 @@ def labels_from_dict(obj: Any) -> tuple[int, ...]:
     if not isinstance(obj, dict) or "labels" not in obj:
         raise InvalidParameterError('a labeling document needs the key "labels"')
     values = obj["labels"]
-    if not isinstance(values, list) or any(
-            not isinstance(x, int) or isinstance(x, bool) for x in values):
+    if not isinstance(values, list) or not all(is_int(x) for x in values):
         raise InvalidParameterError('"labels" must be a list of integers')
     return tuple(values)
 

@@ -10,8 +10,6 @@ time ceiling.
 from __future__ import annotations
 
 import time
-from itertools import chain, combinations
-from typing import Iterator
 
 from antimagic import (
     LinearForestSpec,
@@ -38,6 +36,7 @@ from antimagic import (
     orientation_census,
     weight_profile,
 )
+from antimagic.search import _partitions, _powerset
 
 
 def _best_of(fn, repeats: int = 5) -> tuple[object, float]:
@@ -49,21 +48,6 @@ def _best_of(fn, repeats: int = 5) -> tuple[object, float]:
         fn()
         best = min(best, time.perf_counter() - t0)
     return result, best
-
-
-def _powerset(items) -> Iterator[tuple[int, ...]]:
-    pool = tuple(items)
-    return chain.from_iterable(
-        combinations(pool, r) for r in range(len(pool) + 1))
-
-
-def _partitions(total: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    if total == 0:
-        yield ()
-        return
-    for first in range(min(max_part, total), 0, -1):
-        for rest in _partitions(total - first, first):
-            yield (first,) + rest
 
 
 def test_c01_in_star_weights_exact():

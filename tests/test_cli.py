@@ -258,6 +258,19 @@ def test_sweep_rejects_out_of_range_orders(capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "path-characterizations", "--n-max", "0"],
+    ["sweep", "tree-characterization", "--n-max", "0"],
+    ["sweep", "duality", "--cycle", "5", "--trials", "0"],
+])
+def test_sweep_rejects_zero_sizes(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_export_json_and_dot(tmp_path, capsys):
     gpath = write_graph(tmp_path, build_cycle(3))
     code = main(["export", "--graph", gpath, "--format", "json"])

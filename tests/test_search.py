@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -32,7 +33,8 @@ from antimagic import (
     render_checks_table,
     survey_neighborhood_sufficiency,
 )
-from antimagic.search import _split_range
+from antimagic import search
+from antimagic.search import _lex_rank, _split_range
 from strategies import graphs_with_distance_sets
 
 
@@ -113,6 +115,48 @@ def test_parallel_matches_serial_when_nothing_exists():
                                           use_pruning=False)
     assert (serial.outcome, serial.candidates_examined) == \
         (parallel.outcome, parallel.candidates_examined)
+
+
+class _InlinePool:
+    """Stand-in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_worker_count_is_capped_by_cpus_and_tasks(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(search, "ProcessPoolExecutor",
+                        lambda max_workers: _InlinePool(sizes, max_workers))
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    g = build_cycle(4)
+    serial = exhaustive_labeling_search(g, (0, 2), use_pruning=False)
+    huge = exhaustive_labeling_search(g, (0, 2), jobs=10 ** 6,
+                                      use_pruning=False)
+    assert (huge.outcome, huge.candidates_examined) == \
+        (serial.outcome, serial.candidates_examined)
+    short = exhaustive_labeling_search(g, (0, 2), jobs=10 ** 6, budget=2,
+                                       use_pruning=False)
+    assert (short.outcome, short.candidates_examined) == (ABORTED_BUDGET, 2)
+    assert check_path_characterizations(3, jobs=10 ** 6) == \
+        check_path_characterizations(3)
+    assert sizes == [3, 2, 3]
+
+
+@pytest.mark.parametrize("jobs", [0, -1, True, 2.5])
+def test_path_characterizations_reject_bad_jobs(jobs):
+    with pytest.raises(InvalidParameterError, match="jobs"):
+        check_path_characterizations(3, jobs=jobs)
 
 
 def test_search_parameter_validation():
@@ -226,6 +270,49 @@ def test_magic_graph_hunt_exhausts_small_orders():
     assert empty.candidates_examined == 0
 
 
+def test_lex_rank_matches_the_permutation_order():
+    for n in range(1, 7):
+        for rank, labels in enumerate(permutations(range(1, n + 1))):
+            assert _lex_rank(labels) == rank
+
+
+def _hunt_by_oracle(n, ds):
+    """(graph, magic labelings) for each graph the hunt scans, in order."""
+    out = []
+    for g in enumerate_oriented_graphs(n):
+        arcs = sorted(g.arcs)
+        dist = oracles.floyd_warshall(n, arcs)
+        finite = [d for row in dist for d in row if d is not None]
+        if len(finite) == n * n and max(finite) >= ds[-1]:
+            out.append((g, oracles.all_magic_labelings(n, arcs, ds)))
+    return out
+
+
+def test_magic_graph_hunt_agrees_with_the_oracle():
+    for n in range(1, 5):
+        space = list(permutations(range(1, n + 1)))
+        for size in range(1, n + 1):
+            for ds in combinations(range(n), size):
+                graphs = _hunt_by_oracle(n, ds)
+                lams = sorted({lam for _, hits in graphs for _, lam in hits})
+                for target in (None, -1, *lams):
+                    expected = (EXHAUSTED_NONE, None, None, None)
+                    examined = 0
+                    for g, hits in graphs:
+                        hit = next((h for h in hits
+                                    if target is None or h[1] == target), None)
+                        if hit is not None:
+                            expected = (FOUND, hit[0], g, hit[1])
+                            examined += space.index(hit[0]) + 1
+                            break
+                        examined += len(space)
+                    report = find_magic_graph(n, ds, target)
+                    assert (report.outcome, report.witness,
+                            report.witness_graph,
+                            report.magic_constant) == expected
+                    assert report.candidates_examined == examined
+
+
 def test_magic_graph_hunt_order_guard():
     with pytest.raises(InvalidParameterError):
         find_magic_graph(6, (1,))
@@ -270,6 +357,22 @@ def test_tree_characterization_frozen_counts():
     check = check_tree_characterization(4)
     assert check.agree
     assert (check.swept, check.checked, check.skipped) == (142, 142, 0)
+
+
+def test_sweeps_report_counterexamples_in_work_order(monkeypatch):
+    # a wrong prediction for every one-way path turns each into a counterexample
+    monkeypatch.setattr(search, "is_unidirectional_path", lambda g: False)
+    tree = check_tree_characterization(3)
+    assert (tree.swept, tree.checked, tree.skipped) == (14, 14, 0)
+    assert [c[0] for c in tree.counterexamples] == [2] * 2 + [3] * 6
+    assert all(c[2:] == ((1,), False, True) for c in tree.counterexamples)
+    monkeypatch.setattr(search, "classify_path_orientation", lambda g: "other")
+    rows = check_path_characterizations(4)
+    assert [len(c.counterexamples) for c in rows] == [12, 0, 18, 16]
+    for c in rows:
+        keys = [(n, mask) for n, mask, _, _, _ in c.counterexamples]
+        assert keys == sorted(keys)
+        assert all(cex[3:] == (False, True) for cex in c.counterexamples)
 
 
 def test_tree_characterization_order_guard():
@@ -338,6 +441,14 @@ def test_duality_guards():
         duality_sweep(1)
     with pytest.raises(InvalidParameterError, match="trials"):
         duality_sweep_graph(build_cycle(7))
+
+
+@pytest.mark.parametrize("trials", [0, -3, 2.5, True])
+def test_duality_trials_must_be_a_positive_int(trials):
+    with pytest.raises(InvalidParameterError, match="trials"):
+        duality_sweep_graph(build_cycle(5), trials=trials)
+    with pytest.raises(InvalidParameterError, match="trials"):
+        duality_sweep(2, trials=trials)
 
 
 def test_magic_bound_sweep_frozen_counts():
