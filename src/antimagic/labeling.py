@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .digraph import (
     DistanceMatrix,
@@ -114,7 +114,12 @@ def weight_profile(
     clamp: bool = False,
 ) -> WeightProfile:
     values = check_labeling(labels, g.n)
-    table = neighborhood_table(g, d_set, dm=dm, clamp=clamp)
+    return _profile(values, neighborhood_table(g, d_set, dm=dm, clamp=clamp))
+
+
+def _profile(
+    values: tuple[int, ...], table: tuple[tuple[int, ...], ...],
+) -> WeightProfile:
     weights = tuple(sum(values[u] for u in nb) for nb in table)
     return WeightProfile(weights, _collisions(weights))
 
@@ -205,26 +210,46 @@ def check_duality(
     so the two neighborhoods of a vertex partition the whole vertex set
     and the paired weights add up to n(n+1)/2.
     """
+    return _duality_checker(g, d_set, dm)(labels)
+
+
+def _duality_checker(
+    g: OrientedGraph,
+    d_set: Iterable[int],
+    dm: DistanceMatrix | None,
+) -> Callable[[Sequence[int]], DualityReport]:
+    """check_duality for one graph and distance set, as a function of labels.
+
+    Everything that does not depend on the labeling (the strong
+    connectivity test, the complement and both neighborhood tables) is
+    done here, once.
+    """
     if not is_strongly_connected(g):
         raise TheoremPreconditionError(
             "duality needs a strongly connected graph")
     dm = _resolve_dm(g, dm)
     ds = validate_distance_set(d_set, dm.partial_diameter)
     comp = complement_distance_set(ds, dm.partial_diameter)
-    profile_d = weight_profile(g, labels, ds, dm=dm)
-    profile_c = weight_profile(g, labels, comp, dm=dm)
+    table_d = neighborhood_table(g, ds, dm=dm)
+    table_c = neighborhood_table(g, comp, dm=dm)
     n = g.n
-    return DualityReport(
-        d_set=ds,
-        complement_set=comp,
-        label_total=n * (n + 1) // 2,
-        weight_sums=tuple(
-            a + b for a, b in zip(profile_d.weights, profile_c.weights)),
-        antimagic_d=profile_d.distinct,
-        antimagic_complement=profile_c.distinct,
-        magic_d=profile_d.magic_constant,
-        magic_complement=profile_c.magic_constant,
-    )
+
+    def report(labels: Sequence[int]) -> DualityReport:
+        values = check_labeling(labels, n)
+        profile_d = _profile(values, table_d)
+        profile_c = _profile(values, table_c)
+        return DualityReport(
+            d_set=ds,
+            complement_set=comp,
+            label_total=n * (n + 1) // 2,
+            weight_sums=tuple(
+                a + b for a, b in zip(profile_d.weights, profile_c.weights)),
+            antimagic_d=profile_d.distinct,
+            antimagic_complement=profile_c.distinct,
+            magic_d=profile_d.magic_constant,
+            magic_complement=profile_c.magic_constant,
+        )
+    return report
 
 
 def necessary_condition_distinct_neighborhoods(

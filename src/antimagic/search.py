@@ -19,6 +19,12 @@ skipped, where skipped counts candidate distance sets that are invalid
 for the graph at hand (max beyond its partial diameter).  The duality
 and magic window sweeps report swept as the number of graphs and
 checked as the cases tried on them, and skip nothing.
+
+Distances, magic constants, the complement identity and the existence
+of an antimagic labeling all survive relabelling the vertices, so the
+duality, magic window and neighborhood survey sweeps run on one graph
+per isomorphism class.  Their counts are still over labelled graphs:
+each class adds its result times its orbit size.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice, permutations, product
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .digraph import (
     THETA_DOUBLE_PRIME,
@@ -46,7 +52,11 @@ from .digraph import (
     normalize_distance_set,
     validate_distance_set,
 )
-from .errors import InvalidParameterError, require_int
+from .errors import (
+    InvalidParameterError,
+    TheoremPreconditionError,
+    require_int,
+)
 from .generators import (
     EXPLICIT,
     LinearForestSpec,
@@ -57,7 +67,7 @@ from .generators import (
     mpn_spec,
 )
 from .labeling import (
-    check_duality,
+    _duality_checker,
     necessary_condition_distinct_neighborhoods,
     neighborhood_table,
 )
@@ -232,6 +242,18 @@ def _lex_rank(labels: tuple[int, ...]) -> int:
     return rank
 
 
+def _graph_from_digits(
+    n: int, pairs: list[tuple[int, int]], digits: Iterable[int],
+) -> OrientedGraph:
+    arcs = []
+    for (u, v), digit in zip(pairs, digits):
+        if digit == 1:
+            arcs.append((u, v))
+        elif digit == 2:
+            arcs.append((v, u))
+    return OrientedGraph(n, arcs)
+
+
 def enumerate_oriented_graphs(n: int) -> Iterator[OrientedGraph]:
     """Every oriented graph on vertices 0..n-1, in a fixed documented order.
 
@@ -242,13 +264,45 @@ def enumerate_oriented_graphs(n: int) -> Iterator[OrientedGraph]:
     require_int("order", n, lo=1)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for digits in product((0, 1, 2), repeat=len(pairs)):
-        arcs = []
-        for (u, v), digit in zip(pairs, digits):
-            if digit == 1:
-                arcs.append((u, v))
-            elif digit == 2:
-                arcs.append((v, u))
-        yield OrientedGraph(n, arcs)
+        yield _graph_from_digits(n, pairs, digits)
+
+
+def _isomorphism_classes(
+    n: int,
+) -> Iterator[tuple[OrientedGraph, tuple[int, ...]]]:
+    """(representative, orbit codes) for every oriented graph class of order n.
+
+    A graph's code is its index in enumerate_oriented_graphs(n): its
+    base-3 pair digits read as a number.  Classes come in the order their
+    first member appears there, and that member, the lowest code of the
+    orbit, is the representative.  Orbit codes ascend.
+    """
+    require_int("order", n, lo=1)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    m = len(pairs)
+    place = {pair: 3 ** (m - 1 - k) for k, pair in enumerate(pairs)}
+    # tables[p][3k + d]: what digit d on pair k adds to the code of the
+    # graph relabelled by vertex permutation p; a relabelled arc keeps its
+    # digit when the image pair keeps its order and swaps 1 and 2 otherwise
+    tables = []
+    for perm in permutations(range(n)):
+        table = []
+        for u, v in pairs:
+            a, b = perm[u], perm[v]
+            if a < b:
+                table += (0, place[a, b], 2 * place[a, b])
+            else:
+                table += (0, 2 * place[b, a], place[b, a])
+        tables.append(table)
+    seen = bytearray(3 ** m)
+    for code, digits in enumerate(product((0, 1, 2), repeat=m)):
+        if seen[code]:
+            continue
+        picks = [3 * k + digit for k, digit in enumerate(digits)]
+        orbit = sorted({sum(map(table.__getitem__, picks)) for table in tables})
+        for member in orbit:
+            seen[member] = 1
+        yield _graph_from_digits(n, pairs, digits), tuple(orbit)
 
 
 def find_magic_graph(
@@ -601,14 +655,50 @@ def duality_sweep_graph(
             "exhaustive duality checks are capped at order 6; pass trials=")
     if trials is not None:
         require_int("trials", trials, lo=1)
+    if not is_strongly_connected(g):
+        raise TheoremPreconditionError(
+            "duality needs a strongly connected graph")
     dm = all_pairs_distances(g)
     tally = _Tally(COMPLEMENT_DUALITY)
     for ds in _proper_subsets(dm.partial_diameter):
+        check = _duality_checker(g, ds, dm)
         for labels in _label_iter(g.n, trials, seed):
-            report = check_duality(g, labels, ds, dm=dm)
-            tally.record([] if report.ok else
+            tally.record([] if check(labels).ok else
                          [(tuple(sorted(g.arcs)), ds, labels)])
     return tally.check(swept=1)
+
+
+def _class_sweep(
+    order: int,
+    tag: str,
+    check_graph: Callable[[OrientedGraph], _Tally | CharacterizationCheck],
+) -> CharacterizationCheck:
+    """check_graph over every strongly connected graph of one order.
+
+    check_graph runs on one representative per isomorphism class, and
+    its count is weighted by the orbit size, so swept (graphs) and
+    checked count labelled graphs.  The classes whose representative
+    turns up a counterexample are re-checked member by member in
+    enumeration order; for a check that relabelling preserves, the
+    counterexamples are then the ones a sweep over every labelled graph
+    reports, in its order.
+    """
+    tally = _Tally(tag)
+    swept = 0
+    flagged: set[int] = set()
+    for g, orbit in _isomorphism_classes(order):
+        if not is_strongly_connected(g):
+            continue
+        result = check_graph(g)
+        swept += len(orbit)
+        tally.checked += len(orbit) * result.checked
+        if result.counterexamples:
+            flagged.update(orbit)
+    if flagged:
+        for code, g in enumerate(enumerate_oriented_graphs(order)):
+            if code in flagged:
+                tally.counterexamples.extend(check_graph(g).counterexamples)
+    return tally.check(swept)
 
 
 def duality_sweep(
@@ -617,18 +707,30 @@ def duality_sweep(
     trials: int | None = None,
     seed: int = 0,
 ) -> CharacterizationCheck:
-    """Complement identity over every strongly connected graph of one order."""
+    """Complement identity over every strongly connected graph of one order.
+
+    swept and checked count labelled graphs, reached by checking one
+    graph per isomorphism class and weighting it by its orbit size.
+    With trials set, the seeded sample is drawn once per class
+    representative, and counts as that sample relabelled on each member.
+    """
     require_int("duality sweep order", order, 2, MAX_DUALITY_ORDER)
     if trials is not None:
         require_int("trials", trials, lo=1)
-    swept = 0
-    tally = _Tally(COMPLEMENT_DUALITY)
-    for g in enumerate_oriented_graphs(order):
-        if not is_strongly_connected(g):
-            continue
-        swept += 1
-        tally.merge(duality_sweep_graph(g, trials=trials, seed=seed))
-    return tally.check(swept)
+    return _class_sweep(
+        order, COMPLEMENT_DUALITY,
+        lambda g: duality_sweep_graph(g, trials=trials, seed=seed))
+
+
+def _magic_window_graph(g: OrientedGraph, low: int, high: int) -> _Tally:
+    """The magic window on one graph, one check per proper distance set."""
+    dm = all_pairs_distances(g)
+    tally = _Tally(MAGIC_WINDOW)
+    for ds in _proper_subsets(dm.partial_diameter):
+        tally.record((tuple(sorted(g.arcs)), ds, labels, lam)
+                     for labels, lam in exhaustive_magic_search(g, ds, dm=dm)
+                     if not low <= lam <= high)
+    return tally
 
 
 def magic_bound_sweep(order: int) -> CharacterizationCheck:
@@ -637,23 +739,15 @@ def magic_bound_sweep(order: int) -> CharacterizationCheck:
     For order n at least 3 and proper non-empty distance sets, the
     constant can never dip below 5 nor rise above n(n + 1)/2 - 5.
     checked counts (graph, distance set) pairs whose magic labelings
-    were enumerated.
+    were enumerated.  Both counts are over labelled graphs, reached by
+    scanning one graph per isomorphism class and weighting it by its
+    orbit size.
     """
     require_int("magic window sweep order", order, 3, MAX_GRAPH_HUNT_ORDER)
     low = 5
     high = order * (order + 1) // 2 - 5
-    swept = 0
-    tally = _Tally(MAGIC_WINDOW)
-    for g in enumerate_oriented_graphs(order):
-        if not is_strongly_connected(g):
-            continue
-        swept += 1
-        dm = all_pairs_distances(g)
-        for ds in _proper_subsets(dm.partial_diameter):
-            tally.record((tuple(sorted(g.arcs)), ds, labels, lam)
-                         for labels, lam in exhaustive_magic_search(g, ds, dm=dm)
-                         if not low <= lam <= high)
-    return tally.check(swept)
+    return _class_sweep(order, MAGIC_WINDOW,
+                        lambda g: _magic_window_graph(g, low, high))
 
 
 @dataclass(frozen=True)
@@ -675,25 +769,28 @@ def survey_neighborhood_sufficiency(order: int) -> NeighborhoodSurvey:
     with all neighborhoods distinct, antimagic those where a labeling
     exists, and gap those passing the necessary condition yet failing
     the search.  At small orders the gap is zero; nothing here proves
-    it stays zero, hence a survey rather than a theorem sweep.
+    it stays zero, hence a survey rather than a theorem sweep.  The
+    counts are over labelled graphs, reached by searching one graph per
+    isomorphism class and weighting it by its orbit size.
     """
     require_int("survey order", order, 1, MAX_SURVEY_ORDER)
     pairs = necessary_ok = antimagic = gap = 0
-    for g in enumerate_oriented_graphs(order):
+    for g, orbit in _isomorphism_classes(order):
+        weight = len(orbit)
         dm = all_pairs_distances(g)
         for ds in _powerset(range(dm.partial_diameter + 1)):
             if not ds:
                 continue
-            pairs += 1
-            necessary = necessary_condition_distinct_neighborhoods(
-                g, ds, dm=dm) is None
-            found = exhaustive_labeling_search(g, ds, dm=dm).found
+            report = exhaustive_labeling_search(g, ds, dm=dm)
+            # the search shortcuts exactly when the necessary condition fails
+            necessary = not report.shortcut
+            pairs += weight
             if necessary:
-                necessary_ok += 1
-            if found:
-                antimagic += 1
-            if necessary and not found:
-                gap += 1
+                necessary_ok += weight
+            if report.found:
+                antimagic += weight
+            if necessary and not report.found:
+                gap += weight
     return NeighborhoodSurvey(order, pairs, necessary_ok, antimagic, gap)
 
 

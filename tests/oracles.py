@@ -5,12 +5,26 @@ and avoids the package's own distance and weight code on purpose:
 Floyd-Warshall instead of per-vertex BFS, dict scans instead of
 cached tables, whole-space permutation loops instead of the tuned
 search.  Slow and obvious beats fast and clever here.
+
+The labelled-graph sweeps at the end are the one exception: they run
+the package's own per-graph kernels on every labelled graph, the slow
+path that the isomorphism-class sweeps of antimagic.search replace.
+They look each kernel up on antimagic.search at call time, so a test
+that monkeypatches a kernel changes both paths alike.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 from typing import Iterable, Sequence
+
+from antimagic import search
+from antimagic.search import (
+    COMPLEMENT_DUALITY,
+    MAGIC_WINDOW,
+    CharacterizationCheck,
+    NeighborhoodSurvey,
+)
 
 INF = float("inf")
 
@@ -96,3 +110,60 @@ def layer_sorted_forest_labels(
                 coords.append((i, j, s))
     coords.sort()
     return {(j, s, i): rank for rank, (i, j, s) in enumerate(coords, start=1)}
+
+
+# ---- labelled-graph sweeps ----
+
+
+def _strongly_connected_graphs(order: int):
+    for g in search.enumerate_oriented_graphs(order):
+        if search.is_strongly_connected(g):
+            yield g
+
+
+def magic_bound_sweep(order: int) -> CharacterizationCheck:
+    low = 5
+    high = order * (order + 1) // 2 - 5
+    swept = checked = 0
+    counterexamples = []
+    for g in _strongly_connected_graphs(order):
+        swept += 1
+        dm = search.all_pairs_distances(g)
+        for ds in search._proper_subsets(dm.partial_diameter):
+            checked += 1
+            counterexamples.extend(
+                (tuple(sorted(g.arcs)), ds, labels, lam)
+                for labels, lam in search.exhaustive_magic_search(g, ds, dm=dm)
+                if not low <= lam <= high)
+    return CharacterizationCheck(MAGIC_WINDOW, swept, checked, 0,
+                                 tuple(counterexamples))
+
+
+def duality_sweep(order: int, trials: int | None = None,
+                  seed: int = 0) -> CharacterizationCheck:
+    swept = checked = 0
+    counterexamples = []
+    for g in _strongly_connected_graphs(order):
+        swept += 1
+        check = search.duality_sweep_graph(g, trials=trials, seed=seed)
+        checked += check.checked
+        counterexamples.extend(check.counterexamples)
+    return CharacterizationCheck(COMPLEMENT_DUALITY, swept, checked, 0,
+                                 tuple(counterexamples))
+
+
+def survey_neighborhood_sufficiency(order: int) -> NeighborhoodSurvey:
+    pairs = necessary_ok = antimagic = gap = 0
+    for g in search.enumerate_oriented_graphs(order):
+        dm = search.all_pairs_distances(g)
+        for ds in search._powerset(range(dm.partial_diameter + 1)):
+            if not ds:
+                continue
+            pairs += 1
+            necessary = search.necessary_condition_distinct_neighborhoods(
+                g, ds, dm=dm) is None
+            found = search.exhaustive_labeling_search(g, ds, dm=dm).found
+            necessary_ok += necessary
+            antimagic += found
+            gap += necessary and not found
+    return NeighborhoodSurvey(order, pairs, necessary_ok, antimagic, gap)

@@ -251,6 +251,27 @@ def test_sweep_magic_bounds(capsys):
     assert "magic-constant-window" in captured.out
 
 
+# what a sweep over every labelled graph prints; the sweeps over one graph
+# per isomorphism class must print it byte for byte
+@pytest.mark.parametrize("family, expected", [
+    ("magic-bounds",
+     "family                 swept  checked  skipped  counterexamples  status\n"
+     "magic-constant-window  66     924      0        0                ok\n"),
+    ("duality",
+     "family              swept  checked  skipped  counterexamples  status\n"
+     "complement-duality  66     22176    0        0                ok\n"),
+    ("neighborhood-survey",
+     "order 4: 5329 graph/distance-set pairs, 3797 pass the necessary "
+     "condition, 3797 antimagic, gap 0\n"),
+])
+def test_order_four_sweep_output_is_pinned(family, expected, capsys):
+    code = main(["sweep", family, "--order", "4"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == expected
+    assert captured.err == ""
+
+
 def test_sweep_rejects_out_of_range_orders(capsys):
     code = main(["sweep", "neighborhood-survey", "--order", "9"])
     captured = capsys.readouterr()

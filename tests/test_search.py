@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +16,7 @@ from antimagic import (
     FOUND,
     InvalidParameterError,
     OrientedGraph,
+    TheoremPreconditionError,
     build_cycle,
     build_path,
     check_forest_lemmas,
@@ -33,7 +34,7 @@ from antimagic import (
     render_checks_table,
     survey_neighborhood_sufficiency,
 )
-from antimagic import search
+from antimagic import labeling, search
 from antimagic.search import _lex_rank, _split_range
 from strategies import graphs_with_distance_sets
 
@@ -251,6 +252,38 @@ def test_enumeration_rejects_bad_order():
         list(enumerate_oriented_graphs(0))
 
 
+# oriented graphs up to isomorphism (OEIS A001174), all and strongly connected
+CLASS_COUNTS = {1: (1, 1), 2: (2, 0), 3: (7, 1), 4: (42, 4), 5: (582, 76)}
+
+
+@pytest.mark.parametrize("n", sorted(CLASS_COUNTS))
+def test_isomorphism_classes_partition_the_enumeration(n):
+    classes = list(search._isomorphism_classes(n))
+    assert (len(classes),
+            sum(is_strongly_connected(g) for g, _ in classes)) == \
+        CLASS_COUNTS[n]
+    codes = [code for _, orbit in classes for code in orbit]
+    assert sorted(codes) == list(range(3 ** comb(n, 2)))
+    for _, orbit in classes:
+        assert factorial(n) % len(orbit) == 0
+        assert list(orbit) == sorted(orbit)
+    # each representative is its orbit's lowest code, in first-seen order
+    reps = {orbit[0]: g for g, orbit in classes}
+    assert list(reps) == sorted(reps)
+    for code, g in enumerate(enumerate_oriented_graphs(n)):
+        if code in reps:
+            assert reps[code] == g
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_isomorphism_class_orbits_are_the_relabellings(n):
+    graphs = list(enumerate_oriented_graphs(n))
+    for rep, orbit in search._isomorphism_classes(n):
+        relabelled = {frozenset((p[u], p[v]) for u, v in rep.arcs)
+                      for p in permutations(range(n))}
+        assert relabelled == {graphs[code].arcs for code in orbit}
+
+
 def test_magic_graph_hunt_finds_a_frozen_witness():
     report = find_magic_graph(5, (0, 2, 3), 10)
     assert report.found
@@ -434,6 +467,33 @@ def test_duality_sweep_sampling_is_seeded():
     assert first.checked == 30 * 20
 
 
+@pytest.mark.parametrize("order, trials", [
+    (2, None), (3, None), (4, None), (3, 5), (4, 5)])
+def test_duality_sweep_matches_the_labelled_graph_sweep(order, trials):
+    assert duality_sweep(order, trials=trials, seed=11) == \
+        oracles.duality_sweep(order, trials=trials, seed=11)
+
+
+def test_duality_sweep_builds_two_tables_per_distance_set(monkeypatch):
+    built = []
+    real = labeling.neighborhood_table
+
+    def counted(*args, **kwargs):
+        built.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(labeling, "neighborhood_table", counted)
+    check = duality_sweep_graph(build_cycle(4))
+    assert check.checked == 336
+    assert len(built) == 2 * 14
+
+
+@pytest.mark.parametrize("g", [build_path(4), OrientedGraph(3, [])])
+def test_duality_sweep_needs_a_strongly_connected_graph(g):
+    with pytest.raises(TheoremPreconditionError):
+        duality_sweep_graph(g)
+
+
 def test_duality_guards():
     with pytest.raises(InvalidParameterError):
         duality_sweep(5)
@@ -460,6 +520,29 @@ def test_magic_bound_sweep_frozen_counts():
     assert (four.swept, four.checked) == (66, 924)
 
 
+@pytest.mark.parametrize("order", [3, 4])
+def test_magic_bound_sweep_matches_the_labelled_graph_sweep(order):
+    assert magic_bound_sweep(order) == oracles.magic_bound_sweep(order)
+
+
+def test_magic_bound_sweep_counterexamples_match_the_labelled_graph_sweep(
+        monkeypatch):
+    # every magic constant shifted out of the window fails every class
+    # holding a magic labeling; the re-check lists them graph by graph
+    real = search.exhaustive_magic_search
+    monkeypatch.setattr(
+        search, "exhaustive_magic_search",
+        lambda g, ds, *, dm=None: tuple(
+            (labels, lam + 100) for labels, lam in real(g, ds, dm=dm)))
+    fast = magic_bound_sweep(4)
+    slow = oracles.magic_bound_sweep(4)
+    assert (fast.swept, fast.checked) == (66, 924)
+    assert len(fast.counterexamples) == len(slow.counterexamples) > 0
+    for got, expected in zip(fast.counterexamples, slow.counterexamples):
+        assert got == expected
+    assert fast == slow
+
+
 def test_magic_bound_sweep_order_guard():
     with pytest.raises(InvalidParameterError):
         magic_bound_sweep(2)
@@ -476,6 +559,12 @@ def test_neighborhood_survey_frozen_counts():
         assert (survey.pairs, survey.necessary_ok,
                 survey.antimagic, survey.gap) == \
             (pairs, necessary_ok, antimagic, gap)
+
+
+@pytest.mark.parametrize("order", range(1, 5))
+def test_neighborhood_survey_matches_the_labelled_graph_sweep(order):
+    assert survey_neighborhood_sufficiency(order) == \
+        oracles.survey_neighborhood_sufficiency(order)
 
 
 def test_neighborhood_survey_order_guard():
