@@ -31,13 +31,7 @@ EXPLICIT = "explicit"
 
 MAX_TREE_ORDER = 8
 
-_FOREST_ORIENTATIONS = (
-    FORWARD,
-    PHI,
-    THETA_PRIME_ORIENTATION,
-    THETA_DOUBLE_PRIME_ORIENTATION,
-    EXPLICIT,
-)
+_FOREST_ORIENTATIONS = (FORWARD, PHI, EXPLICIT)
 
 
 def _mask_to_bits(orientation: int | str, width: int) -> tuple[int, ...]:
@@ -105,10 +99,8 @@ class LinearForestSpec:
     """Disjoint union of path copies: components are (multiplicity, order) pairs.
 
     Orders must be strictly increasing; merge equal orders into one
-    multiplicity first (from_lengths does this).  The theta orientations
-    are only meaningful for a single path, so they require exactly one
-    copy of one component with order >= 3.  orientation "explicit" takes
-    one direction bit per path edge, in layout order, via edge_bits.
+    multiplicity first (from_lengths does this).  orientation "explicit"
+    takes one direction bit per path edge, in layout order, via edge_bits.
     """
 
     components: tuple[tuple[int, int], ...]
@@ -132,11 +124,6 @@ class LinearForestSpec:
         if self.orientation not in _FOREST_ORIENTATIONS:
             raise InvalidParameterError(
                 f"unknown forest orientation {self.orientation!r}")
-        if self.orientation in (THETA_PRIME_ORIENTATION,
-                                THETA_DOUBLE_PRIME_ORIENTATION):
-            if len(comps) != 1 or comps[0][0] != 1 or comps[0][1] < 3:
-                raise InvalidParameterError(
-                    "theta orientations apply only to a single path of order >= 3")
         if self.orientation == EXPLICIT:
             if self.edge_bits is None:
                 raise InvalidParameterError("explicit orientation needs edge_bits")
@@ -207,8 +194,6 @@ def forest_vertex_coords(spec: LinearForestSpec, index: int) -> tuple[int, int, 
 def build_forest(spec: LinearForestSpec) -> OrientedGraph:
     """Oriented linear forest laid out as documented on the module."""
     arcs: list[tuple[int, int]] = []
-    if spec.orientation in (THETA_PRIME_ORIENTATION, THETA_DOUBLE_PRIME_ORIENTATION):
-        return build_path(spec.components[0][1], spec.orientation)
     offset = 0
     edge_cursor = 0
     for m, n in spec.components:

@@ -66,11 +66,10 @@ def d_neighborhood(
     d_set: Iterable[int],
     *,
     dm: DistanceMatrix | None = None,
-    clamp: bool = False,
 ) -> tuple[int, ...]:
     """Vertices whose distance from v lies in d_set, ascending."""
     dm = _resolve_dm(g, dm)
-    ds = validate_distance_set(d_set, dm.partial_diameter, clamp)
+    ds = validate_distance_set(d_set, dm.partial_diameter)
     if not 0 <= v < g.n:
         raise InvalidParameterError(f"vertex {v} out of range")
     wanted = set(ds)
@@ -83,11 +82,10 @@ def neighborhood_table(
     d_set: Iterable[int],
     *,
     dm: DistanceMatrix | None = None,
-    clamp: bool = False,
 ) -> tuple[tuple[int, ...], ...]:
     """d_neighborhood for every vertex at once."""
     dm = _resolve_dm(g, dm)
-    ds = validate_distance_set(d_set, dm.partial_diameter, clamp)
+    ds = validate_distance_set(d_set, dm.partial_diameter)
     wanted = set(ds)
     return tuple(
         tuple(u for u in range(g.n) if row[u] in wanted)
@@ -114,7 +112,9 @@ def weight_profile(
     clamp: bool = False,
 ) -> WeightProfile:
     values = check_labeling(labels, g.n)
-    return _profile(values, neighborhood_table(g, d_set, dm=dm, clamp=clamp))
+    dm = _resolve_dm(g, dm)
+    ds = validate_distance_set(d_set, dm.partial_diameter, clamp)
+    return _profile(values, neighborhood_table(g, ds, dm=dm))
 
 
 def _profile(
@@ -130,9 +130,8 @@ def is_d_antimagic(
     d_set: Iterable[int],
     *,
     dm: DistanceMatrix | None = None,
-    clamp: bool = False,
 ) -> bool:
-    return weight_profile(g, labels, d_set, dm=dm, clamp=clamp).distinct
+    return weight_profile(g, labels, d_set, dm=dm).distinct
 
 
 def is_d_magic(
@@ -141,10 +140,9 @@ def is_d_magic(
     d_set: Iterable[int],
     *,
     dm: DistanceMatrix | None = None,
-    clamp: bool = False,
 ) -> int | None:
     """The magic constant when every weight agrees, else None."""
-    return weight_profile(g, labels, d_set, dm=dm, clamp=clamp).magic_constant
+    return weight_profile(g, labels, d_set, dm=dm).magic_constant
 
 
 def complement_distance_set(
@@ -257,7 +255,6 @@ def necessary_condition_distinct_neighborhoods(
     d_set: Iterable[int],
     *,
     dm: DistanceMatrix | None = None,
-    clamp: bool = False,
 ) -> tuple[int, int] | None:
     """A vertex pair sharing one D-neighborhood, or None when all differ.
 
@@ -266,7 +263,7 @@ def necessary_condition_distinct_neighborhoods(
     labeling at once.  Scans vertices in ascending order and reports the
     first repeat against its earliest predecessor.
     """
-    table = neighborhood_table(g, d_set, dm=dm, clamp=clamp)
+    table = neighborhood_table(g, d_set, dm=dm)
     seen: dict[tuple[int, ...], int] = {}
     for v, nb in enumerate(table):
         if nb in seen:

@@ -33,6 +33,7 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice, permutations, product
 from math import factorial
@@ -44,15 +45,14 @@ from .digraph import (
     UNIDIRECTIONAL,
     DistanceMatrix,
     OrientedGraph,
-    _resolve_dm,
     all_pairs_distances,
     classify_path_orientation,
     is_strongly_connected,
     is_unidirectional_path,
     normalize_distance_set,
-    validate_distance_set,
 )
 from .errors import (
+    AntimagicError,
     InvalidParameterError,
     TheoremPreconditionError,
     require_int,
@@ -66,11 +66,7 @@ from .generators import (
     enumerate_trees,
     mpn_spec,
 )
-from .labeling import (
-    _duality_checker,
-    necessary_condition_distinct_neighborhoods,
-    neighborhood_table,
-)
+from .labeling import _duality_checker, neighborhood_table
 
 FOUND = "found"
 EXHAUSTED_NONE = "exhausted-none"
@@ -158,6 +154,18 @@ def _pool_size(jobs: int, tasks: int) -> int:
     return min(jobs, cpus, tasks)
 
 
+def _map(fn: Callable, work: list, jobs: int) -> Iterable:
+    """fn over work, in order: here, or in a pool of up to jobs processes."""
+    workers = _pool_size(jobs, len(work))
+    if workers == 1:
+        return map(fn, work)
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, work))
+    except BrokenProcessPool as exc:
+        raise AntimagicError(f"a worker process failed: {exc}") from exc
+
+
 def exhaustive_labeling_search(
     g: OrientedGraph,
     d_set: Iterable[int],
@@ -169,8 +177,7 @@ def exhaustive_labeling_search(
 ) -> SearchReport:
     """Hunt for the lex-least antimagic labeling by brute force."""
     started = time.perf_counter()
-    dm = _resolve_dm(g, dm)
-    ds = validate_distance_set(d_set, dm.partial_diameter)
+    nbhd = neighborhood_table(g, d_set, dm=dm)
     if budget is not None:
         require_int("budget", budget, lo=1)
     n = g.n
@@ -181,21 +188,12 @@ def exhaustive_labeling_search(
     space = factorial(n)
     total = space if budget is None else min(budget, space)
     workers = _pool_size(jobs, total)
-    if use_pruning and necessary_condition_distinct_neighborhoods(
-            g, ds, dm=dm) is not None:
+    if use_pruning and len(set(nbhd)) < n:
         return SearchReport(EXHAUSTED_NONE, None, 0,
                             time.perf_counter() - started, shortcut=True)
-    nbhd = neighborhood_table(g, ds, dm=dm)
-    if workers == 1:
-        hit = _scan_range((nbhd, n, 0, total))
-    else:
-        hit = None
-        work = [(nbhd, n, a, b) for a, b in _split_range(total, workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(_scan_range, work):
-                if result is not None:
-                    hit = result
-                    break
+    work = [(nbhd, n, a, b) for a, b in _split_range(total, workers)]
+    hit = next((result for result in _map(_scan_range, work, workers)
+                if result is not None), None)
     elapsed = time.perf_counter() - started
     if hit is not None:
         rank, labels = hit
@@ -403,20 +401,35 @@ def _proper_subsets(partial_diam: int) -> Iterator[tuple[int, ...]]:
         combinations(items, r) for r in range(1, partial_diam + 1))
 
 
+def _check_predictions(
+    g: OrientedGraph,
+    cases: Iterable[tuple[_Tally, tuple[int, ...], bool]],
+    key: tuple,
+) -> None:
+    """Compare (tally, distance set, predicted verdict) cases on g to a search.
+
+    A set reaching past the partial diameter counts as skipped in its
+    tally.  Each distinct set is searched once; a verdict other than the
+    predicted one is recorded as key + (ds, predicted, found).
+    """
+    dm = all_pairs_distances(g)
+    verdicts: dict[tuple[int, ...], bool] = {}
+    for tally, ds, predicted in cases:
+        if ds[-1] > dm.partial_diameter:
+            tally.skipped += 1
+            continue
+        if ds not in verdicts:
+            verdicts[ds] = exhaustive_labeling_search(g, ds, dm=dm).found
+        found = verdicts[ds]
+        tally.record([] if found == predicted
+                     else [key + (ds, predicted, found)])
+
+
 def _sweep_path_mask(args: tuple[int, int]) -> tuple[_Tally, ...]:
     """Check all four path families on one oriented path (worker body)."""
     n, mask = args
     g = build_path(n, mask)
-    dm = all_pairs_distances(g)
-    pd = dm.partial_diameter
     kind = classify_path_orientation(g)
-    memo: dict[tuple[int, ...], bool] = {}
-
-    def exists(ds: tuple[int, ...]) -> bool:
-        if ds not in memo:
-            memo[ds] = exhaustive_labeling_search(g, ds, dm=dm).found
-        return memo[ds]
-
     families = (
         (PATH_MIN_ONE,
          ((1,) + extra for extra in _powerset(range(2, n))),
@@ -431,19 +444,12 @@ def _sweep_path_mask(args: tuple[int, int]) -> tuple[_Tally, ...]:
          ((0,) + mid + (n - 2,) for mid in _powerset(range(1, n - 2))),
          lambda ds: kind in (UNIDIRECTIONAL, THETA_PRIME, THETA_DOUBLE_PRIME)),
     )
-    out = []
-    for tag, domain, predict in families:
-        tally = _Tally(tag)
-        for ds in domain:
-            if ds[-1] > pd:
-                tally.skipped += 1
-                continue
-            predicted = predict(ds)
-            found = exists(ds)
-            tally.record([] if found == predicted
-                         else [(n, mask, ds, predicted, found)])
-        out.append(tally)
-    return tuple(out)
+    tallies = tuple(_Tally(tag) for tag, _, _ in families)
+    cases = ((tally, ds, predict(ds))
+             for tally, (_, domain, predict) in zip(tallies, families)
+             for ds in domain)
+    _check_predictions(g, cases, (n, mask))
+    return tallies
 
 
 def check_path_characterizations(
@@ -468,14 +474,8 @@ def check_path_characterizations(
     work = [(n, mask)
             for n in range(3, n_max + 1)
             for mask in range(2 ** (n - 1))]
-    workers = _pool_size(jobs, len(work))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_path_mask, work))
-    else:
-        results = [_sweep_path_mask(item) for item in work]
     merged: dict[str, _Tally] = {}
-    for tallies in results:
+    for tallies in _map(_sweep_path_mask, work, jobs):
         for tally in tallies:
             merged.setdefault(tally.tag, _Tally(tally.tag)).merge(tally)
     return tuple(tally.check() for tally in merged.values())
@@ -487,10 +487,8 @@ def check_tree_characterization(n_max: int) -> CharacterizationCheck:
     tally = _Tally(TREE_DEPTH_ONE)
     for n in range(2, n_max + 1):
         for g in enumerate_trees(n):
-            predicted = is_unidirectional_path(g)
-            found = exhaustive_labeling_search(g, (1,)).found
-            tally.record([] if found == predicted else
-                         [(n, tuple(sorted(g.arcs)), (1,), predicted, found)])
+            _check_predictions(g, [(tally, (1,), is_unidirectional_path(g))],
+                               (n, tuple(sorted(g.arcs))))
     return tally.check()
 
 
@@ -536,59 +534,31 @@ def check_forest_lemmas(
             top = parts[0]
             for mask in range(2 ** edges):
                 bits = tuple((mask >> b) & 1 for b in range(edges))
-                spec = LinearForestSpec.from_lengths(lengths, EXPLICIT, bits)
-                g = build_forest(spec)
-                dm = all_pairs_distances(g)
-                pd = dm.partial_diameter
-                domains = (
-                    (fam1, ((1,) + extra for extra in _powerset(range(2, top)))),
-                    (fam2, (ds for ds in _powerset(range(2, top)) if ds)),
-                )
-                for tally, domain in domains:
-                    for ds in domain:
-                        if ds[-1] > pd:
-                            tally.skipped += 1
-                            continue
-                        found = exhaustive_labeling_search(g, ds, dm=dm).found
-                        tally.record([(lengths, bits, ds, False, True)]
-                                     if found else [])
+                g = build_forest(
+                    LinearForestSpec.from_lengths(lengths, EXPLICIT, bits))
+                _check_predictions(g, chain(
+                    ((fam1, (1,) + extra, False)
+                     for extra in _powerset(range(2, top))),
+                    ((fam2, ds, False)
+                     for ds in _powerset(range(2, top)) if ds),
+                ), (lengths, bits))
+                if mask == 0:  # all-zero bits build the phi forest
+                    _check_predictions(g, [(fam4, (0, 1), True)],
+                                       (lengths, "tail-to-head"))
 
     for n in range(2, max_total_order + 1):
         for m in range(2, max_total_order // n + 1):
-            g = build_forest(mpn_spec(m, n))
-            dm = all_pairs_distances(g)
-            for extra in _powerset(range(1, n)):
-                ds = (0,) + extra
-                found = exhaustive_labeling_search(g, ds, dm=dm).found
-                fam3.record([] if found else
-                            [((m, n), "tail-to-head", ds, True, False)])
+            _check_predictions(
+                build_forest(mpn_spec(m, n)),
+                ((fam3, (0,) + extra, True)
+                 for extra in _powerset(range(1, n))),
+                ((m, n), "tail-to-head"))
             for copy_mask in range(2 ** (n - 1)):
                 copy_bits = tuple((copy_mask >> b) & 1 for b in range(n - 1))
-                uniform = build_forest(mpn_spec(m, n, EXPLICIT, copy_bits * m))
-                udm = all_pairs_distances(uniform)
-                ds = (0, n - 1)
-                if udm.partial_diameter < n - 1:
-                    fam5.skipped += 1
-                    continue
-                predicted = copy_mask in (0, 2 ** (n - 1) - 1)
-                found = exhaustive_labeling_search(uniform, ds, dm=udm).found
-                fam5.record([] if found == predicted else
-                            [((m, n), copy_bits, ds, predicted, found)])
-
-    for total in range(2, max_total_order + 1):
-        for parts in _partitions(total):
-            if len(parts) < 2:
-                continue
-            lengths = tuple(sorted(parts))
-            spec = LinearForestSpec.from_lengths(lengths)
-            g = build_forest(spec)
-            dm = all_pairs_distances(g)
-            if dm.partial_diameter < 1:
-                fam4.skipped += 1
-                continue
-            found = exhaustive_labeling_search(g, (0, 1), dm=dm).found
-            fam4.record([] if found else
-                        [(lengths, "tail-to-head", (0, 1), True, False)])
+                _check_predictions(
+                    build_forest(mpn_spec(m, n, EXPLICIT, copy_bits * m)),
+                    [(fam5, (0, n - 1), copy_mask in (0, 2 ** (n - 1) - 1))],
+                    ((m, n), copy_bits))
 
     return tuple(tally.check() for tally in (fam1, fam2, fam3, fam4, fam5))
 

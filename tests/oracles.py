@@ -9,8 +9,9 @@ search.  Slow and obvious beats fast and clever here.
 The labelled-graph sweeps at the end are the one exception: they run
 the package's own per-graph kernels on every labelled graph, the slow
 path that the isomorphism-class sweeps of antimagic.search replace.
-They look each kernel up on antimagic.search at call time, so a test
-that monkeypatches a kernel changes both paths alike.
+They look each kernel up on antimagic.search (the necessary condition
+on antimagic.labeling) at call time, so a test that monkeypatches a
+kernel changes both paths alike.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterable, Sequence
 
-from antimagic import search
+from antimagic import labeling, search
 from antimagic.search import (
     COMPLEMENT_DUALITY,
     MAGIC_WINDOW,
@@ -160,7 +161,7 @@ def survey_neighborhood_sufficiency(order: int) -> NeighborhoodSurvey:
             if not ds:
                 continue
             pairs += 1
-            necessary = search.necessary_condition_distinct_neighborhoods(
+            necessary = labeling.necessary_condition_distinct_neighborhoods(
                 g, ds, dm=dm) is None
             found = search.exhaustive_labeling_search(g, ds, dm=dm).found
             necessary_ok += necessary

@@ -111,12 +111,10 @@ def test_spec_rejects_bad_components():
 
 
 def test_theta_orientation_needs_one_plain_path():
-    with pytest.raises(InvalidParameterError):
-        LinearForestSpec(((2, 3),), "theta-prime")
-    with pytest.raises(InvalidParameterError):
-        LinearForestSpec(((1, 2),), "theta-prime")
-    spec = LinearForestSpec(((1, 4),), "theta-prime")
-    assert build_forest(spec) == build_path(4, "theta-prime")
+    # build_path is the one way to build a theta path
+    for spec in (((1, 4),), ((2, 3),)):
+        with pytest.raises(InvalidParameterError, match="orientation"):
+            LinearForestSpec(spec, "theta-prime")
 
 
 def test_explicit_orientation_needs_matching_bits():

@@ -63,7 +63,6 @@ def test_neighborhood_clamp():
     g = build_path(3)
     with pytest.raises(InvalidDistanceSetError):
         d_neighborhood(g, 0, (0, 9))
-    assert d_neighborhood(g, 0, (0, 9), clamp=True) == (0,)
 
 
 @given(graphs_with_distance_sets(max_n=6))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -13,6 +15,7 @@ import oracles
 from antimagic import (
     ABORTED_BUDGET,
     EXHAUSTED_NONE,
+    AntimagicError,
     FOUND,
     InvalidParameterError,
     OrientedGraph,
@@ -35,6 +38,7 @@ from antimagic import (
     survey_neighborhood_sufficiency,
 )
 from antimagic import labeling, search
+from antimagic.cli import main
 from antimagic.search import _lex_rank, _split_range
 from strategies import graphs_with_distance_sets
 
@@ -152,6 +156,51 @@ def test_worker_count_is_capped_by_cpus_and_tasks(monkeypatch):
     assert check_path_characterizations(3, jobs=10 ** 6) == \
         check_path_characterizations(3)
     assert sizes == [3, 2, 3]
+
+
+class _BrokenPool(_InlinePool):
+    """Stand-in for a pool whose worker process died."""
+
+    def map(self, fn, items):
+        raise BrokenProcessPool("a child process terminated abruptly")
+
+
+def test_a_failed_worker_is_a_clean_error(monkeypatch, capsys):
+    monkeypatch.setattr(search, "ProcessPoolExecutor",
+                        lambda max_workers: _BrokenPool([], max_workers))
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    with pytest.raises(AntimagicError, match="worker process failed"):
+        exhaustive_labeling_search(build_cycle(4), (0, 2), jobs=2,
+                                   use_pruning=False)
+    with pytest.raises(AntimagicError, match="worker process failed"):
+        check_path_characterizations(3, jobs=2)
+    assert main(["search", "--cycle", "4", "--D", "0,2", "--no-prune",
+                 "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("g, ds, shortcut", [
+    (build_cycle(4), (0, 2), True), (build_path(4, 0), (0, 1), False)])
+def test_search_builds_one_neighborhood_table(monkeypatch, g, ds, shortcut):
+    built = []
+    real = labeling.neighborhood_table
+
+    def counted(*args, **kwargs):
+        built.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(labeling, "neighborhood_table", counted)
+    monkeypatch.setattr(search, "neighborhood_table", counted)
+    report = exhaustive_labeling_search(g, ds)
+    assert report.shortcut == shortcut
+    assert built == [ds]
+    # budget and jobs are still checked before the shortcut
+    for bad in ({"budget": 0}, {"jobs": 0}):
+        with pytest.raises(InvalidParameterError):
+            exhaustive_labeling_search(g, ds, **bad)
 
 
 @pytest.mark.parametrize("jobs", [0, -1, True, 2.5])
@@ -406,6 +455,44 @@ def test_sweeps_report_counterexamples_in_work_order(monkeypatch):
         keys = [(n, mask) for n, mask, _, _, _ in c.counterexamples]
         assert keys == sorted(keys)
         assert all(cex[3:] == (False, True) for cex in c.counterexamples)
+    # a flipped search verdict turns every forest case checked into one
+    real = search.exhaustive_labeling_search
+
+    def flipped(*args, **kwargs):
+        report = real(*args, **kwargs)
+        return replace(report,
+                       outcome=EXHAUSTED_NONE if report.found else FOUND)
+
+    monkeypatch.setattr(search, "exhaustive_labeling_search", flipped)
+    rows = check_forest_lemmas(4)
+    assert [(c.swept, c.checked, c.skipped) for c in rows] == [
+        (19, 14, 5), (4, 2, 2), (2, 2, 0), (7, 4, 3), (2, 2, 0)]
+    assert [c.counterexamples for c in rows] == [
+        (((1, 2), (0,), (1,), False, True),
+         ((1, 2), (1,), (1,), False, True),
+         ((1, 3), (0, 0), (1,), False, True),
+         ((1, 3), (0, 0), (1, 2), False, True),
+         ((1, 3), (1, 0), (1,), False, True),
+         ((1, 3), (0, 1), (1,), False, True),
+         ((1, 3), (1, 1), (1,), False, True),
+         ((1, 3), (1, 1), (1, 2), False, True),
+         ((2, 2), (0, 0), (1,), False, True),
+         ((2, 2), (1, 0), (1,), False, True),
+         ((2, 2), (0, 1), (1,), False, True),
+         ((2, 2), (1, 1), (1,), False, True),
+         ((1, 1, 2), (0,), (1,), False, True),
+         ((1, 1, 2), (1,), (1,), False, True)),
+        (((1, 3), (0, 0), (2,), False, True),
+         ((1, 3), (1, 1), (2,), False, True)),
+        (((2, 2), "tail-to-head", (0,), True, False),
+         ((2, 2), "tail-to-head", (0, 1), True, False)),
+        (((1, 2), "tail-to-head", (0, 1), True, False),
+         ((1, 3), "tail-to-head", (0, 1), True, False),
+         ((2, 2), "tail-to-head", (0, 1), True, False),
+         ((1, 1, 2), "tail-to-head", (0, 1), True, False)),
+        (((2, 2), (0,), (0, 1), True, False),
+         ((2, 2), (1,), (0, 1), True, False)),
+    ]
 
 
 def test_tree_characterization_order_guard():
