@@ -99,7 +99,6 @@ from .serialize import (
     canonical_json,
     check_to_dict,
     construction_to_dict,
-    duality_to_dict,
     graph_from_dict,
     graph_to_dict,
     graph_to_dot,
@@ -107,7 +106,6 @@ from .serialize import (
     labels_to_dict,
     load_graph,
     load_labels,
-    profile_to_dict,
     search_report_to_dict,
     write_text,
 )

@@ -23,6 +23,7 @@ from .digraph import (
     DistanceMatrix,
     OrientedGraph,
     _resolve_dm,
+    all_pairs_distances,
     is_strongly_connected,
     validate_distance_set,
 )
@@ -64,17 +65,12 @@ def d_neighborhood(
     g: OrientedGraph,
     v: int,
     d_set: Iterable[int],
-    *,
-    dm: DistanceMatrix | None = None,
 ) -> tuple[int, ...]:
     """Vertices whose distance from v lies in d_set, ascending."""
-    dm = _resolve_dm(g, dm)
-    ds = validate_distance_set(d_set, dm.partial_diameter)
+    table = neighborhood_table(g, d_set)
     if not 0 <= v < g.n:
         raise InvalidParameterError(f"vertex {v} out of range")
-    wanted = set(ds)
-    row = dm.rows[v]
-    return tuple(u for u in range(g.n) if row[u] in wanted)
+    return table[v]
 
 
 def neighborhood_table(
@@ -108,11 +104,10 @@ def weight_profile(
     labels: Sequence[int],
     d_set: Iterable[int],
     *,
-    dm: DistanceMatrix | None = None,
     clamp: bool = False,
 ) -> WeightProfile:
     values = check_labeling(labels, g.n)
-    dm = _resolve_dm(g, dm)
+    dm = all_pairs_distances(g)
     ds = validate_distance_set(d_set, dm.partial_diameter, clamp)
     return _profile(values, neighborhood_table(g, ds, dm=dm))
 
@@ -128,21 +123,17 @@ def is_d_antimagic(
     g: OrientedGraph,
     labels: Sequence[int],
     d_set: Iterable[int],
-    *,
-    dm: DistanceMatrix | None = None,
 ) -> bool:
-    return weight_profile(g, labels, d_set, dm=dm).distinct
+    return weight_profile(g, labels, d_set).distinct
 
 
 def is_d_magic(
     g: OrientedGraph,
     labels: Sequence[int],
     d_set: Iterable[int],
-    *,
-    dm: DistanceMatrix | None = None,
 ) -> int | None:
     """The magic constant when every weight agrees, else None."""
-    return weight_profile(g, labels, d_set, dm=dm).magic_constant
+    return weight_profile(g, labels, d_set).magic_constant
 
 
 def complement_distance_set(
@@ -199,8 +190,6 @@ def check_duality(
     g: OrientedGraph,
     labels: Sequence[int],
     d_set: Iterable[int],
-    *,
-    dm: DistanceMatrix | None = None,
 ) -> DualityReport:
     """Weights under d_set and its complement, with the identities they satisfy.
 
@@ -208,7 +197,7 @@ def check_duality(
     so the two neighborhoods of a vertex partition the whole vertex set
     and the paired weights add up to n(n+1)/2.
     """
-    return _duality_checker(g, d_set, dm)(labels)
+    return _duality_checker(g, d_set, None)(labels)
 
 
 def _duality_checker(
@@ -253,8 +242,6 @@ def _duality_checker(
 def necessary_condition_distinct_neighborhoods(
     g: OrientedGraph,
     d_set: Iterable[int],
-    *,
-    dm: DistanceMatrix | None = None,
 ) -> tuple[int, int] | None:
     """A vertex pair sharing one D-neighborhood, or None when all differ.
 
@@ -263,7 +250,7 @@ def necessary_condition_distinct_neighborhoods(
     labeling at once.  Scans vertices in ascending order and reports the
     first repeat against its earliest predecessor.
     """
-    table = neighborhood_table(g, d_set, dm=dm)
+    table = neighborhood_table(g, d_set)
     seen: dict[tuple[int, ...], int] = {}
     for v, nb in enumerate(table):
         if nb in seen:

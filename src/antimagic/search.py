@@ -36,7 +36,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice, permutations, product
-from math import factorial
+from math import ceil, factorial
 from typing import Callable, Iterable, Iterator
 
 from .digraph import (
@@ -161,7 +161,9 @@ def _map(fn: Callable, work: list, jobs: int) -> Iterable:
         return map(fn, work)
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, work))
+            # one chunk per worker: a task is too small to pay for a round trip
+            chunk = ceil(len(work) / workers)
+            return list(pool.map(fn, work, chunksize=chunk))
     except BrokenProcessPool as exc:
         raise AntimagicError(f"a worker process failed: {exc}") from exc
 
@@ -177,7 +179,6 @@ def exhaustive_labeling_search(
 ) -> SearchReport:
     """Hunt for the lex-least antimagic labeling by brute force."""
     started = time.perf_counter()
-    nbhd = neighborhood_table(g, d_set, dm=dm)
     if budget is not None:
         require_int("budget", budget, lo=1)
     n = g.n
@@ -188,6 +189,7 @@ def exhaustive_labeling_search(
     space = factorial(n)
     total = space if budget is None else min(budget, space)
     workers = _pool_size(jobs, total)
+    nbhd = neighborhood_table(g, d_set, dm=dm)
     if use_pruning and len(set(nbhd)) < n:
         return SearchReport(EXHAUSTED_NONE, None, 0,
                             time.perf_counter() - started, shortcut=True)

@@ -15,7 +15,7 @@ from typing import Any, Sequence
 from .constructions import ConstructionResult
 from .digraph import OrientedGraph
 from .errors import InvalidParameterError, is_int, require_int
-from .labeling import DualityReport, WeightProfile, check_labeling, weight_profile
+from .labeling import check_labeling, weight_profile
 from .search import CharacterizationCheck, SearchReport
 
 
@@ -31,6 +31,8 @@ def graph_from_dict(obj: Any) -> OrientedGraph:
         raise InvalidParameterError(
             'a graph document needs the keys "n" and "arcs"')
     n = require_int('"n"', obj["n"])
+    if not isinstance(obj["arcs"], list):
+        raise InvalidParameterError('"arcs" must be a list of arcs')
     arcs = []
     for entry in obj["arcs"]:
         if (not isinstance(entry, (list, tuple)) or len(entry) != 2
@@ -56,14 +58,6 @@ def labels_from_dict(obj: Any) -> tuple[int, ...]:
     if not isinstance(values, list) or not all(is_int(x) for x in values):
         raise InvalidParameterError('"labels" must be a list of integers')
     return tuple(values)
-
-
-def profile_to_dict(profile: WeightProfile) -> dict[str, Any]:
-    return {
-        "weights": list(profile.weights),
-        "collisions": [[u + 1, v + 1] for u, v in profile.collisions],
-        "distinct": profile.distinct,
-    }
 
 
 def construction_to_dict(result: ConstructionResult) -> dict[str, Any]:
@@ -97,20 +91,6 @@ def check_to_dict(check: CharacterizationCheck) -> dict[str, Any]:
         "skipped": check.skipped,
         "counterexamples": [list(entry) for entry in check.counterexamples],
         "agree": check.agree,
-    }
-
-
-def duality_to_dict(report: DualityReport) -> dict[str, Any]:
-    return {
-        "d_set": list(report.d_set),
-        "complement_set": list(report.complement_set),
-        "label_total": report.label_total,
-        "weight_sums": list(report.weight_sums),
-        "antimagic_d": report.antimagic_d,
-        "antimagic_complement": report.antimagic_complement,
-        "magic_d": report.magic_d,
-        "magic_complement": report.magic_complement,
-        "ok": report.ok,
     }
 
 
@@ -151,7 +131,7 @@ def _load_json(path: str) -> Any:
             return json.load(handle)
     except OSError as exc:
         raise InvalidParameterError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidParameterError(f"{path} is not valid JSON: {exc}") from None
 
 

@@ -162,7 +162,7 @@ def survey_neighborhood_sufficiency(order: int) -> NeighborhoodSurvey:
                 continue
             pairs += 1
             necessary = labeling.necessary_condition_distinct_neighborhoods(
-                g, ds, dm=dm) is None
+                g, ds) is None
             found = search.exhaustive_labeling_search(g, ds, dm=dm).found
             necessary_ok += necessary
             antimagic += found

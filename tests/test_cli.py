@@ -325,6 +325,25 @@ def test_missing_file_is_a_usage_error(tmp_path, capsys):
     assert "cannot read" in captured.err
 
 
+@pytest.mark.parametrize("graph_bytes, label_bytes", [
+    (b'{"n": 3, "arcs": 5}', b'{"labels": [1, 2, 3]}'),
+    (b'{"n": 3, "arcs": [], "note": "caf\xe9"}', b'{"labels": [1, 2, 3]}'),
+    (b'{"n": 3, "arcs": []}', b'{"labels": [1, 2, 3], "note": "\xff"}'),
+])
+def test_malformed_files_are_usage_errors(tmp_path, capsys, graph_bytes,
+                                          label_bytes):
+    gpath = tmp_path / "graph.json"
+    gpath.write_bytes(graph_bytes)
+    lpath = tmp_path / "labels.json"
+    lpath.write_bytes(label_bytes)
+    code = main(["verify", "--graph", str(gpath), "--labeling", str(lpath),
+                 "--D", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_bad_distance_set_text(tmp_path, capsys):
     gpath = write_graph(tmp_path, build_cycle(3))
     lpath = write_labels(tmp_path, (1, 2, 3))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -71,6 +73,26 @@ def test_neighborhood_table_matches_oracle(case):
     table = neighborhood_table(g, ds)
     for v in range(g.n):
         assert list(table[v]) == oracles.neighborhood(g.n, g.arcs, v, ds)
+
+
+def test_d_neighborhood_is_a_row_of_the_table():
+    g = build_path(5, "theta-prime")
+    table = neighborhood_table(g, (0, 1))
+    assert tuple(d_neighborhood(g, v, (0, 1)) for v in range(5)) == table
+    for v in (-1, 5):
+        with pytest.raises(InvalidParameterError, match="out of range"):
+            d_neighborhood(g, v, (0, 1))
+
+
+def test_verifiers_take_no_distance_matrix():
+    for fn in (d_neighborhood, weight_profile, is_d_antimagic, is_d_magic,
+               check_duality, necessary_condition_distinct_neighborhoods):
+        assert "dm" not in inspect.signature(fn).parameters
+    g = build_path(4)
+    assert weight_profile(g, (4, 3, 2, 1), (1,)).weights == (3, 2, 1, 0)
+    with pytest.raises(TypeError):
+        weight_profile(g, (4, 3, 2, 1), (1,),
+                       dm=all_pairs_distances(build_cycle(4)))
 
 
 def test_neighborhood_rejects_mismatched_matrix():

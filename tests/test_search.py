@@ -134,7 +134,8 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=1):
+        self.chunksize = chunksize
         return map(fn, items)
 
 
@@ -158,10 +159,28 @@ def test_worker_count_is_capped_by_cpus_and_tasks(monkeypatch):
     assert sizes == [3, 2, 3]
 
 
+def test_each_worker_gets_one_contiguous_chunk(monkeypatch):
+    pools = []
+
+    def make(max_workers):
+        pools.append(_InlinePool([], max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", make)
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    # orders 3..5 give 4 + 8 + 16 path orientations, one task each
+    assert check_path_characterizations(5, jobs=2) == \
+        check_path_characterizations(5)
+    exhaustive_labeling_search(build_cycle(4), (0, 2), jobs=2,
+                               use_pruning=False)
+    assert [pool.chunksize for pool in pools] == [14, 1]
+
+
 class _BrokenPool(_InlinePool):
     """Stand-in for a pool whose worker process died."""
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=1):
         raise BrokenProcessPool("a child process terminated abruptly")
 
 
@@ -201,6 +220,18 @@ def test_search_builds_one_neighborhood_table(monkeypatch, g, ds, shortcut):
     for bad in ({"budget": 0}, {"jobs": 0}):
         with pytest.raises(InvalidParameterError):
             exhaustive_labeling_search(g, ds, **bad)
+
+
+def test_search_rejects_bad_limits_before_building_a_table(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("neighborhood table built")
+
+    monkeypatch.setattr(search, "neighborhood_table", no_table)
+    with pytest.raises(InvalidParameterError, match="capped at order"):
+        exhaustive_labeling_search(build_path(11, 0), (1,))
+    for bad in ({"budget": 0}, {"jobs": 0}):
+        with pytest.raises(InvalidParameterError):
+            exhaustive_labeling_search(build_path(3, 0), (1,), **bad)
 
 
 @pytest.mark.parametrize("jobs", [0, -1, True, 2.5])

@@ -11,11 +11,9 @@ from antimagic import (
     build_cycle,
     build_path,
     canonical_json,
-    check_duality,
     check_path_characterizations,
     check_to_dict,
     construction_to_dict,
-    duality_to_dict,
     exhaustive_labeling_search,
     find_magic_graph,
     graph_from_dict,
@@ -26,9 +24,7 @@ from antimagic import (
     labels_to_dict,
     load_graph,
     load_labels,
-    profile_to_dict,
     search_report_to_dict,
-    weight_profile,
     write_text,
 )
 from strategies import oriented_graphs
@@ -75,14 +71,6 @@ def test_labels_round_trip_and_validation():
         labels_from_dict({"labels": [True, 2]})
 
 
-def test_profile_dict_reports_collisions_one_based():
-    profile = weight_profile(build_path(5, 2), (1, 2, 3, 4, 5), (1,))
-    doc = profile_to_dict(profile)
-    assert doc["distinct"] is False
-    assert doc["weights"] == [0, 4, 0, 3, 4]
-    assert doc["collisions"] == [[1, 3], [2, 5]]
-
-
 def test_construction_dict_shape():
     doc = construction_to_dict(label_theta_double_prime(3, (0, 1)))
     assert doc == {
@@ -112,17 +100,6 @@ def test_check_dict_shape():
     assert doc["swept"] == doc["checked"] + doc["skipped"]
     assert doc["counterexamples"] == []
     assert doc["agree"] is True
-
-
-def test_duality_dict_shape():
-    g = build_cycle(4)
-    doc = duality_to_dict(check_duality(g, (1, 2, 4, 3), (1, 3)))
-    assert doc["d_set"] == [1, 3]
-    assert doc["complement_set"] == [0, 2]
-    assert doc["label_total"] == 10
-    assert doc["ok"] is True
-    assert doc["magic_d"] == 5
-    assert doc["magic_complement"] == 5
 
 
 def test_canonical_json_is_byte_stable():
