@@ -31,6 +31,7 @@ from .errors import (
     InvalidDistanceSetError,
     InvalidParameterError,
     TheoremPreconditionError,
+    require_int,
 )
 
 
@@ -67,10 +68,10 @@ def d_neighborhood(
     d_set: Iterable[int],
 ) -> tuple[int, ...]:
     """Vertices whose distance from v lies in d_set, ascending."""
-    table = neighborhood_table(g, d_set)
+    require_int("vertex", v)
     if not 0 <= v < g.n:
         raise InvalidParameterError(f"vertex {v} out of range")
-    return table[v]
+    return neighborhood_table(g, d_set)[v]
 
 
 def neighborhood_table(

@@ -21,10 +21,11 @@ and magic window sweeps report swept as the number of graphs and
 checked as the cases tried on them, and skip nothing.
 
 Distances, magic constants, the complement identity and the existence
-of an antimagic labeling all survive relabelling the vertices, so the
-duality, magic window and neighborhood survey sweeps run on one graph
-per isomorphism class.  Their counts are still over labelled graphs:
-each class adds its result times its orbit size.
+of an antimagic labeling all survive relabelling the vertices, and so
+does being a one-way path, so the duality, magic window, neighborhood
+survey and tree sweeps run on one graph per isomorphism class.  Their
+counts are still over labelled graphs: each class adds its result times
+its orbit size.
 """
 
 from __future__ import annotations
@@ -305,6 +306,44 @@ def _isomorphism_classes(
         yield _graph_from_digits(n, pairs, digits), tuple(orbit)
 
 
+def _canonical_code(g: OrientedGraph) -> tuple[tuple[tuple[int, int], ...], int]:
+    """(code, |Aut|): isomorphic graphs, and only they, share the code.
+
+    The code is the least sorted arc tuple over the vertex orders that
+    sort vertices by (out-degree, in-degree).  The orders that reach it
+    differ by automorphisms, so there are |Aut| of them.
+    """
+    key = [(len(g.successors[v]), len(g.predecessors[v])) for v in range(g.n)]
+    cells = [[v for v in range(g.n) if key[v] == k] for k in sorted(set(key))]
+    codes = []
+    for parts in product(*map(permutations, cells)):
+        place = {v: i for i, v in enumerate(chain.from_iterable(parts))}
+        codes.append(tuple(sorted((place[u], place[v]) for u, v in g.arcs)))
+    best = min(codes)
+    return best, codes.count(best)
+
+
+def _tree_classes(n: int) -> Iterator[tuple[OrientedGraph, int]]:
+    """(representative, orbit size) for every oriented tree class of order n.
+
+    Every tree is a smaller tree plus a leaf, so a new leaf n - 1 hangs
+    off each vertex of each class of order n - 1, arc either way, and the
+    first tree of each canonical code is kept.  Orbit size is n!/|Aut|.
+    """
+    if n == 1:
+        yield OrientedGraph(1, []), 1
+        return
+    seen = set()
+    for tree, _ in _tree_classes(n - 1):
+        for v in range(n - 1):
+            for arc in ((v, n - 1), (n - 1, v)):
+                g = OrientedGraph(n, tree.arcs | {arc})
+                code, automorphisms = _canonical_code(g)
+                if code not in seen:
+                    seen.add(code)
+                    yield g, factorial(n) // automorphisms
+
+
 def find_magic_graph(
     n: int,
     d_set: Iterable[int],
@@ -320,6 +359,8 @@ def find_magic_graph(
     """
     started = time.perf_counter()
     require_int("graph hunt order", n, 1, MAX_GRAPH_HUNT_ORDER)
+    if target is not None:
+        require_int("target", target)
     ds = normalize_distance_set(d_set)
     examined = 0
     for g in enumerate_oriented_graphs(n):
@@ -483,14 +524,34 @@ def check_path_characterizations(
     return tuple(tally.check() for tally in merged.values())
 
 
+def _check_tree(g: OrientedGraph) -> _Tally:
+    tally = _Tally(TREE_DEPTH_ONE)
+    _check_predictions(g, [(tally, (1,), is_unidirectional_path(g))],
+                       (g.n, tuple(sorted(g.arcs))))
+    return tally
+
+
 def check_tree_characterization(n_max: int) -> CharacterizationCheck:
-    """Trees with D = {1} are antimagic exactly when they are one-way paths."""
+    """Trees with D = {1} are antimagic exactly when they are one-way paths.
+
+    One tree per isomorphism class is searched, its counts weighted by
+    the orbit size.  Classes that disagree are re-checked tree by tree in
+    enumerate_trees order, giving the labelled sweep's counterexamples.
+    """
     require_int("tree sweep order", n_max, 2, 6)
     tally = _Tally(TREE_DEPTH_ONE)
     for n in range(2, n_max + 1):
-        for g in enumerate_trees(n):
-            _check_predictions(g, [(tally, (1,), is_unidirectional_path(g))],
-                               (n, tuple(sorted(g.arcs))))
+        flagged = set()
+        for g, orbit in _tree_classes(n):
+            result = _check_tree(g)
+            tally.checked += orbit * result.checked
+            tally.skipped += orbit * result.skipped
+            if result.counterexamples:
+                flagged.add(_canonical_code(g)[0])
+        if flagged:
+            for g in enumerate_trees(n):
+                if _canonical_code(g)[0] in flagged:
+                    tally.counterexamples.extend(_check_tree(g).counterexamples)
     return tally.check()
 
 

@@ -7,11 +7,11 @@ cached tables, whole-space permutation loops instead of the tuned
 search.  Slow and obvious beats fast and clever here.
 
 The labelled-graph sweeps at the end are the one exception: they run
-the package's own per-graph kernels on every labelled graph, the slow
-path that the isomorphism-class sweeps of antimagic.search replace.
-They look each kernel up on antimagic.search (the necessary condition
-on antimagic.labeling) at call time, so a test that monkeypatches a
-kernel changes both paths alike.
+the package's own per-graph kernels on every labelled graph or tree,
+the slow path that the isomorphism-class sweeps of antimagic.search
+replace.  They look each kernel up on antimagic.search (the necessary
+condition on antimagic.labeling) at call time, so a test that
+monkeypatches a kernel changes both paths alike.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from antimagic import labeling, search
 from antimagic.search import (
     COMPLEMENT_DUALITY,
     MAGIC_WINDOW,
+    TREE_DEPTH_ONE,
     CharacterizationCheck,
     NeighborhoodSurvey,
 )
@@ -168,3 +169,13 @@ def survey_neighborhood_sufficiency(order: int) -> NeighborhoodSurvey:
             antimagic += found
             gap += necessary and not found
     return NeighborhoodSurvey(order, pairs, necessary_ok, antimagic, gap)
+
+
+def check_tree_characterization(n_max: int) -> CharacterizationCheck:
+    tally = search._Tally(TREE_DEPTH_ONE)
+    for n in range(2, n_max + 1):
+        for g in search.enumerate_trees(n):
+            search._check_predictions(
+                g, [(tally, (1,), search.is_unidirectional_path(g))],
+                (n, tuple(sorted(g.arcs))))
+    return tally.check()

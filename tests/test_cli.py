@@ -272,6 +272,17 @@ def test_order_four_sweep_output_is_pinned(family, expected, capsys):
     assert captured.err == ""
 
 
+def test_order_six_tree_sweep_output_is_pinned(capsys):
+    # what the sweep over every labelled tree prints
+    code = main(["sweep", "tree-characterization", "--n-max", "6"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == (
+        "family        swept  checked  skipped  counterexamples  status\n"
+        "tree-depth-1  43614  43614    0        0                ok\n")
+    assert captured.err == ""
+
+
 def test_sweep_rejects_out_of_range_orders(capsys):
     code = main(["sweep", "neighborhood-survey", "--order", "9"])
     captured = capsys.readouterr()

@@ -34,3 +34,44 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
+    """module:name of each module-level _private function or class that
+    no source reads; a read inside its own definition, such as a
+    recursive call, does not count."""
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(stmt.name)
+                if stmt.name.startswith("_") and not stmt.name.startswith("__"):
+                    defined.append((module, stmt.name))
+            read |= names
+    return [f"{module}:{name}" for module, name in defined
+            if name not in read]
+
+
+def test_the_check_sees_an_unused_helper():
+    sources = {
+        "a.py": "def _used():\n    return _used()\n"
+                "def _recursive(n):\n    return _recursive(n - 1)\n"
+                "class _Spare:\n    pass\n",
+        "b.py": "from .a import _used\nprint(_used())\n",
+    }
+    assert unreferenced_private_defs(sources) == ["a.py:_recursive",
+                                                  "a.py:_Spare"]
+
+
+def test_every_private_helper_is_used():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_defs(sources) == []

@@ -84,6 +84,12 @@ def test_d_neighborhood_is_a_row_of_the_table():
             d_neighborhood(g, v, (0, 1))
 
 
+@pytest.mark.parametrize("v", [1.5, True])
+def test_d_neighborhood_rejects_a_non_int_vertex(v):
+    with pytest.raises(InvalidParameterError):
+        d_neighborhood(build_path(4), v, (1,))
+
+
 def test_verifiers_take_no_distance_matrix():
     for fn in (d_neighborhood, weight_profile, is_d_antimagic, is_d_magic,
                check_duality, necessary_condition_distinct_neighborhoods):

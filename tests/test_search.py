@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from itertools import combinations, permutations
@@ -29,6 +30,7 @@ from antimagic import (
     duality_sweep,
     duality_sweep_graph,
     enumerate_oriented_graphs,
+    enumerate_trees,
     exhaustive_labeling_search,
     exhaustive_magic_search,
     find_magic_graph,
@@ -36,6 +38,7 @@ from antimagic import (
     magic_bound_sweep,
     render_checks_table,
     survey_neighborhood_sufficiency,
+    weak_components,
 )
 from antimagic import labeling, search
 from antimagic.cli import main
@@ -364,6 +367,43 @@ def test_isomorphism_class_orbits_are_the_relabellings(n):
         assert relabelled == {graphs[code].arcs for code in orbit}
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_canonical_code_names_the_isomorphism_classes(n):
+    graphs = list(enumerate_oriented_graphs(n))
+    codes = set()
+    for _, orbit in search._isomorphism_classes(n):
+        found = {search._canonical_code(graphs[code]) for code in orbit}
+        assert len(found) == 1
+        code, automorphisms = found.pop()
+        assert factorial(n) // automorphisms == len(orbit)
+        codes.add(code)
+    assert len(codes) == CLASS_COUNTS[n][0]
+
+
+# oriented trees up to isomorphism (OEIS A000238)
+TREE_CLASS_COUNTS = {1: 1, 2: 1, 3: 3, 4: 8, 5: 27, 6: 91}
+
+
+@pytest.mark.parametrize("n", sorted(TREE_CLASS_COUNTS))
+def test_tree_classes_count_every_labelled_tree(n):
+    classes = list(search._tree_classes(n))
+    assert len(classes) == TREE_CLASS_COUNTS[n]
+    # n^(n-2) labelled trees (Cayley), each oriented 2^(n-1) ways
+    assert sum(orbit for _, orbit in classes) == \
+        (n ** (n - 2) * 2 ** (n - 1) if n > 1 else 1)
+    for g, orbit in classes:
+        assert g.arc_count == n - 1 and len(weak_components(g)) == 1
+        assert factorial(n) % orbit == 0
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_tree_class_orbits_partition_the_labelled_trees(n):
+    orbits = {search._canonical_code(g)[0]: orbit
+              for g, orbit in search._tree_classes(n)}
+    hits = Counter(search._canonical_code(g)[0] for g in enumerate_trees(n))
+    assert hits == orbits
+
+
 def test_magic_graph_hunt_finds_a_frozen_witness():
     report = find_magic_graph(5, (0, 2, 3), 10)
     assert report.found
@@ -431,6 +471,12 @@ def test_magic_graph_hunt_order_guard():
         find_magic_graph(6, (1,))
 
 
+@pytest.mark.parametrize("target", ["5", True, 5.0])
+def test_magic_graph_hunt_rejects_a_non_int_target(target):
+    with pytest.raises(InvalidParameterError):
+        find_magic_graph(4, (0, 2), target)
+
+
 # ---- theorem sweeps ----
 
 
@@ -470,6 +516,38 @@ def test_tree_characterization_frozen_counts():
     check = check_tree_characterization(4)
     assert check.agree
     assert (check.swept, check.checked, check.skipped) == (142, 142, 0)
+
+
+def test_tree_characterization_order_six_frozen_counts():
+    check = check_tree_characterization(6)
+    assert check.agree
+    assert (check.swept, check.checked, check.skipped) == (43614, 43614, 0)
+
+
+@pytest.mark.parametrize("n_max", range(2, 6))
+def test_tree_characterization_matches_the_labelled_tree_sweep(n_max):
+    assert check_tree_characterization(n_max) == \
+        oracles.check_tree_characterization(n_max)
+
+
+def test_tree_characterization_counterexamples_match_the_labelled_tree_sweep(
+        monkeypatch):
+    # a flipped search verdict fails every class; the re-check lists every
+    # labelled tree in enumerate_trees order
+    real = search.exhaustive_labeling_search
+
+    def flipped(*args, **kwargs):
+        report = real(*args, **kwargs)
+        return replace(report,
+                       outcome=EXHAUSTED_NONE if report.found else FOUND)
+
+    monkeypatch.setattr(search, "exhaustive_labeling_search", flipped)
+    fast = check_tree_characterization(5)
+    slow = oracles.check_tree_characterization(5)
+    assert len(fast.counterexamples) == len(slow.counterexamples) == 2142
+    for got, expected in zip(fast.counterexamples, slow.counterexamples):
+        assert got == expected
+    assert fast == slow
 
 
 def test_sweeps_report_counterexamples_in_work_order(monkeypatch):
