@@ -21,6 +21,7 @@ from .errors import (
     InvalidDistanceSetError,
     InvalidParameterError,
     NotAPathError,
+    is_int,
     require_int,
 )
 
@@ -297,11 +298,15 @@ def is_unidirectional_path(g: OrientedGraph) -> bool:
 
 
 def normalize_distance_set(values: Iterable[int]) -> tuple[int, ...]:
-    """Sorted duplicate-free tuple; must be non-empty with entries >= 0."""
+    """Sorted duplicate-free tuple; must be non-empty with int entries >= 0."""
     try:
-        ds = sorted({int(d) for d in values})
-    except (TypeError, ValueError) as exc:
+        entries = tuple(values)
+    except TypeError as exc:
         raise InvalidDistanceSetError(f"bad distance set: {exc}") from None
+    if not all(map(is_int, entries)):
+        raise InvalidDistanceSetError(
+            f"distances must be integers, got {entries!r}")
+    ds = sorted(set(entries))
     if not ds:
         raise InvalidDistanceSetError("distance set must be non-empty")
     if ds[0] < 0:

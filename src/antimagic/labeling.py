@@ -31,14 +31,16 @@ from .errors import (
     InvalidDistanceSetError,
     InvalidParameterError,
     TheoremPreconditionError,
+    is_int,
     require_int,
 )
 
 
 def check_labeling(labels: Sequence[int], n: int) -> tuple[int, ...]:
     """Validate a bijection onto 1..n and return it as a tuple."""
-    values = tuple(int(x) for x in labels)
-    if len(values) != n or sorted(values) != list(range(1, n + 1)):
+    values = tuple(labels)
+    if (len(values) != n or not all(map(is_int, values))
+            or sorted(values) != list(range(1, n + 1))):
         raise InvalidParameterError(
             f"labeling must be a bijection onto 1..{n}, got {labels!r}")
     return values

@@ -25,7 +25,9 @@ of an antimagic labeling all survive relabelling the vertices, and so
 does being a one-way path, so the duality, magic window, neighborhood
 survey and tree sweeps run on one graph per isomorphism class.  Their
 counts are still over labelled graphs: each class adds its result times
-its orbit size.
+its orbit size.  _class_levels builds the classes of oriented graphs
+and trees alike by vertex extension; _weighted_sweep weights them and
+re-checks the orbits of classes that turn up counterexamples.
 """
 
 from __future__ import annotations
@@ -243,18 +245,6 @@ def _lex_rank(labels: tuple[int, ...]) -> int:
     return rank
 
 
-def _graph_from_digits(
-    n: int, pairs: list[tuple[int, int]], digits: Iterable[int],
-) -> OrientedGraph:
-    arcs = []
-    for (u, v), digit in zip(pairs, digits):
-        if digit == 1:
-            arcs.append((u, v))
-        elif digit == 2:
-            arcs.append((v, u))
-    return OrientedGraph(n, arcs)
-
-
 def enumerate_oriented_graphs(n: int) -> Iterator[OrientedGraph]:
     """Every oriented graph on vertices 0..n-1, in a fixed documented order.
 
@@ -265,83 +255,72 @@ def enumerate_oriented_graphs(n: int) -> Iterator[OrientedGraph]:
     require_int("order", n, lo=1)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for digits in product((0, 1, 2), repeat=len(pairs)):
-        yield _graph_from_digits(n, pairs, digits)
+        yield OrientedGraph(n, [(u, v) if digit == 1 else (v, u)
+                                for (u, v), digit in zip(pairs, digits)
+                                if digit])
 
 
-def _isomorphism_classes(
-    n: int,
-) -> Iterator[tuple[OrientedGraph, tuple[int, ...]]]:
-    """(representative, orbit codes) for every oriented graph class of order n.
-
-    A graph's code is its index in enumerate_oriented_graphs(n): its
-    base-3 pair digits read as a number.  Classes come in the order their
-    first member appears there, and that member, the lowest code of the
-    orbit, is the representative.  Orbit codes ascend.
-    """
-    require_int("order", n, lo=1)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    m = len(pairs)
-    place = {pair: 3 ** (m - 1 - k) for k, pair in enumerate(pairs)}
-    # tables[p][3k + d]: what digit d on pair k adds to the code of the
-    # graph relabelled by vertex permutation p; a relabelled arc keeps its
-    # digit when the image pair keeps its order and swaps 1 and 2 otherwise
-    tables = []
-    for perm in permutations(range(n)):
-        table = []
-        for u, v in pairs:
-            a, b = perm[u], perm[v]
-            if a < b:
-                table += (0, place[a, b], 2 * place[a, b])
-            else:
-                table += (0, 2 * place[b, a], place[b, a])
-        tables.append(table)
-    seen = bytearray(3 ** m)
-    for code, digits in enumerate(product((0, 1, 2), repeat=m)):
-        if seen[code]:
-            continue
-        picks = [3 * k + digit for k, digit in enumerate(digits)]
-        orbit = sorted({sum(map(table.__getitem__, picks)) for table in tables})
-        for member in orbit:
-            seen[member] = 1
-        yield _graph_from_digits(n, pairs, digits), tuple(orbit)
-
-
-def _canonical_code(g: OrientedGraph) -> tuple[tuple[tuple[int, int], ...], int]:
+def _canonical_code(
+    n: int, arcs: Iterable[tuple[int, int]],
+) -> tuple[int, int]:
     """(code, |Aut|): isomorphic graphs, and only they, share the code.
 
-    The code is the least sorted arc tuple over the vertex orders that
-    sort vertices by (out-degree, in-degree).  The orders that reach it
-    differ by automorphisms, so there are |Aut| of them.
+    The code is the least arc bitmask (bit u * n + v for the arc u -> v)
+    over the vertex orders that sort vertices by (out-degree, in-degree).
+    The orders that reach it differ by automorphisms, so there are |Aut|
+    of them.
     """
-    key = [(len(g.successors[v]), len(g.predecessors[v])) for v in range(g.n)]
-    cells = [[v for v in range(g.n) if key[v] == k] for k in sorted(set(key))]
+    out, inc = [0] * n, [0] * n
+    for u, v in arcs:
+        out[u] += 1
+        inc[v] += 1
+    key = list(zip(out, inc))
+    cells = [[v for v in range(n) if key[v] == k] for k in sorted(set(key))]
     codes = []
     for parts in product(*map(permutations, cells)):
         place = {v: i for i, v in enumerate(chain.from_iterable(parts))}
-        codes.append(tuple(sorted((place[u], place[v]) for u, v in g.arcs)))
+        codes.append(sum(1 << place[u] * n + place[v] for u, v in arcs))
     best = min(codes)
     return best, codes.count(best)
 
 
-def _tree_classes(n: int) -> Iterator[tuple[OrientedGraph, int]]:
-    """(representative, orbit size) for every oriented tree class of order n.
+def _any_arcs(v: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Every arc set joining a new vertex v to vertices 0..v-1: 3^v of them."""
+    choices = [((), ((u, v),), ((v, u),)) for u in range(v)]
+    return (tuple(chain.from_iterable(pick)) for pick in product(*choices))
 
-    Every tree is a smaller tree plus a leaf, so a new leaf n - 1 hangs
-    off each vertex of each class of order n - 1, arc either way, and the
-    first tree of each canonical code is kept.  Orbit size is n!/|Aut|.
+
+def _leaf_arcs(v: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """One arc, either way, between a new vertex v and a vertex below it."""
+    return ((arc,) for u in range(v) for arc in ((u, v), (v, u)))
+
+
+def _class_levels(
+    n: int,
+    new_arcs: Callable[[int], Iterable[tuple[tuple[int, int], ...]]],
+) -> list[list[tuple[OrientedGraph, int]]]:
+    """(representative, orbit size) of every class of orders 1..n, by order.
+
+    Entry k - 1 holds order k: a new vertex k - 1 joins each class
+    representative of order k - 1 through each arc set new_arcs(k - 1)
+    offers, and the first graph of each canonical code is kept, with
+    orbit size k!/|Aut|.  Every graph is a smaller one plus its last
+    vertex, so _any_arcs gives every oriented graph and _leaf_arcs every
+    oriented tree (vertex extension: Read 1978; McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 1998).
     """
-    if n == 1:
-        yield OrientedGraph(1, []), 1
-        return
-    seen = set()
-    for tree, _ in _tree_classes(n - 1):
-        for v in range(n - 1):
-            for arc in ((v, n - 1), (n - 1, v)):
-                g = OrientedGraph(n, tree.arcs | {arc})
-                code, automorphisms = _canonical_code(g)
-                if code not in seen:
-                    seen.add(code)
-                    yield g, factorial(n) // automorphisms
+    levels = [[(OrientedGraph(1, ()), 1)]]
+    for k in range(2, n + 1):
+        level = {}
+        for rep, _ in levels[-1]:
+            for extra in new_arcs(k - 1):
+                arcs = (*rep.arcs, *extra)
+                code, automorphisms = _canonical_code(k, arcs)
+                if code not in level:
+                    level[code] = (OrientedGraph(k, arcs),
+                                   factorial(k) // automorphisms)
+        levels.append(list(level.values()))
+    return levels
 
 
 def find_magic_graph(
@@ -524,6 +503,34 @@ def check_path_characterizations(
     return tuple(tally.check() for tally in merged.values())
 
 
+def _weighted_sweep(
+    tally: _Tally,
+    classes: Iterable[tuple[OrientedGraph, int]],
+    labelled: Iterable[OrientedGraph],
+    check_graph: Callable[[OrientedGraph], _Tally | CharacterizationCheck],
+) -> None:
+    """Add check_graph over every labelled graph to tally, a class at a time.
+
+    check_graph runs on each (representative, orbit size) class, its
+    counts weighted by the orbit size.  The orbit of each representative
+    that turns up a counterexample is re-checked member by member, in the
+    order labelled lists them; for a check that relabelling preserves,
+    the counterexamples are then the ones a walk over labelled reports.
+    """
+    flagged = set()
+    for g, orbit in classes:
+        result = check_graph(g)
+        tally.checked += orbit * result.checked
+        tally.skipped += orbit * result.skipped
+        if result.counterexamples:
+            flagged.update(frozenset((p[u], p[v]) for u, v in g.arcs)
+                           for p in permutations(range(g.n)))
+    if flagged:
+        for g in labelled:
+            if g.arcs in flagged:
+                tally.counterexamples.extend(check_graph(g).counterexamples)
+
+
 def _check_tree(g: OrientedGraph) -> _Tally:
     tally = _Tally(TREE_DEPTH_ONE)
     _check_predictions(g, [(tally, (1,), is_unidirectional_path(g))],
@@ -540,18 +547,9 @@ def check_tree_characterization(n_max: int) -> CharacterizationCheck:
     """
     require_int("tree sweep order", n_max, 2, 6)
     tally = _Tally(TREE_DEPTH_ONE)
+    levels = _class_levels(n_max, _leaf_arcs)
     for n in range(2, n_max + 1):
-        flagged = set()
-        for g, orbit in _tree_classes(n):
-            result = _check_tree(g)
-            tally.checked += orbit * result.checked
-            tally.skipped += orbit * result.skipped
-            if result.counterexamples:
-                flagged.add(_canonical_code(g)[0])
-        if flagged:
-            for g in enumerate_trees(n):
-                if _canonical_code(g)[0] in flagged:
-                    tally.counterexamples.extend(_check_tree(g).counterexamples)
+        _weighted_sweep(tally, levels[n - 1], enumerate_trees(n), _check_tree)
     return tally.check()
 
 
@@ -708,30 +706,15 @@ def _class_sweep(
 ) -> CharacterizationCheck:
     """check_graph over every strongly connected graph of one order.
 
-    check_graph runs on one representative per isomorphism class, and
-    its count is weighted by the orbit size, so swept (graphs) and
-    checked count labelled graphs.  The classes whose representative
-    turns up a counterexample are re-checked member by member in
-    enumeration order; for a check that relabelling preserves, the
-    counterexamples are then the ones a sweep over every labelled graph
-    reports, in its order.
+    swept (graphs) and checked count labelled graphs, and counterexamples
+    come in enumerate_oriented_graphs order; see _weighted_sweep.
     """
+    classes = [(g, orbit) for g, orbit in _class_levels(order, _any_arcs)[-1]
+               if is_strongly_connected(g)]
     tally = _Tally(tag)
-    swept = 0
-    flagged: set[int] = set()
-    for g, orbit in _isomorphism_classes(order):
-        if not is_strongly_connected(g):
-            continue
-        result = check_graph(g)
-        swept += len(orbit)
-        tally.checked += len(orbit) * result.checked
-        if result.counterexamples:
-            flagged.update(orbit)
-    if flagged:
-        for code, g in enumerate(enumerate_oriented_graphs(order)):
-            if code in flagged:
-                tally.counterexamples.extend(check_graph(g).counterexamples)
-    return tally.check(swept)
+    _weighted_sweep(tally, classes, enumerate_oriented_graphs(order),
+                    check_graph)
+    return tally.check(swept=sum(orbit for _, orbit in classes))
 
 
 def duality_sweep(
@@ -808,8 +791,7 @@ def survey_neighborhood_sufficiency(order: int) -> NeighborhoodSurvey:
     """
     require_int("survey order", order, 1, MAX_SURVEY_ORDER)
     pairs = necessary_ok = antimagic = gap = 0
-    for g, orbit in _isomorphism_classes(order):
-        weight = len(orbit)
+    for g, weight in _class_levels(order, _any_arcs)[-1]:
         dm = all_pairs_distances(g)
         for ds in _powerset(range(dm.partial_diameter + 1)):
             if not ds:

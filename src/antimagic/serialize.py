@@ -18,6 +18,10 @@ from .errors import InvalidParameterError, is_int, require_int
 from .labeling import check_labeling, weight_profile
 from .search import CharacterizationCheck, SearchReport
 
+# the most vertices or labels a file may hold, checked before anything
+# is built from it: every vertex costs a distance row and a DOT line
+MAX_FILE_ORDER = 10_000
+
 
 def graph_to_dict(g: OrientedGraph) -> dict[str, Any]:
     return {
@@ -30,9 +34,12 @@ def graph_from_dict(obj: Any) -> OrientedGraph:
     if not isinstance(obj, dict) or "n" not in obj or "arcs" not in obj:
         raise InvalidParameterError(
             'a graph document needs the keys "n" and "arcs"')
-    n = require_int('"n"', obj["n"])
+    n = require_int('"n"', obj["n"], 1, MAX_FILE_ORDER)
     if not isinstance(obj["arcs"], list):
         raise InvalidParameterError('"arcs" must be a list of arcs')
+    if len(obj["arcs"]) > n * (n - 1) // 2:
+        raise InvalidParameterError(f'"arcs" lists {len(obj["arcs"])} arcs, '
+                                    f"more than {n} vertices can hold")
     arcs = []
     for entry in obj["arcs"]:
         if (not isinstance(entry, (list, tuple)) or len(entry) != 2
@@ -57,6 +64,9 @@ def labels_from_dict(obj: Any) -> tuple[int, ...]:
     values = obj["labels"]
     if not isinstance(values, list) or not all(is_int(x) for x in values):
         raise InvalidParameterError('"labels" must be a list of integers')
+    if len(values) > MAX_FILE_ORDER:
+        raise InvalidParameterError(
+            f'"labels" lists {len(values)} labels, more than {MAX_FILE_ORDER}')
     return tuple(values)
 
 

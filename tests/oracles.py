@@ -6,6 +6,10 @@ Floyd-Warshall instead of per-vertex BFS, dict scans instead of
 cached tables, whole-space permutation loops instead of the tuned
 search.  Slow and obvious beats fast and clever here.
 
+isomorphism_classes is the code-indexed class enumeration that the
+vertex-extension class generator of antimagic.search replaced: slow,
+but each orbit is read straight off the enumeration it partitions.
+
 The labelled-graph sweeps at the end are the one exception: they run
 the package's own per-graph kernels on every labelled graph or tree,
 the slow path that the isomorphism-class sweeps of antimagic.search
@@ -16,10 +20,10 @@ monkeypatches a kernel changes both paths alike.
 
 from __future__ import annotations
 
-from itertools import permutations
-from typing import Iterable, Sequence
+from itertools import permutations, product
+from typing import Iterable, Iterator, Sequence
 
-from antimagic import labeling, search
+from antimagic import OrientedGraph, labeling, search
 from antimagic.search import (
     COMPLEMENT_DUALITY,
     MAGIC_WINDOW,
@@ -112,6 +116,58 @@ def layer_sorted_forest_labels(
                 coords.append((i, j, s))
     coords.sort()
     return {(j, s, i): rank for rank, (i, j, s) in enumerate(coords, start=1)}
+
+
+# ---- isomorphism classes ----
+
+
+def _graph_from_digits(
+    n: int, pairs: list[tuple[int, int]], digits: Iterable[int],
+) -> OrientedGraph:
+    arcs = []
+    for (u, v), digit in zip(pairs, digits):
+        if digit == 1:
+            arcs.append((u, v))
+        elif digit == 2:
+            arcs.append((v, u))
+    return OrientedGraph(n, arcs)
+
+
+def isomorphism_classes(
+    n: int,
+) -> Iterator[tuple[OrientedGraph, tuple[int, ...]]]:
+    """(representative, orbit codes) for every oriented graph class of order n.
+
+    A graph's code is its index in enumerate_oriented_graphs(n): its
+    base-3 pair digits read as a number.  Classes come in the order their
+    first member appears there, and that member, the lowest code of the
+    orbit, is the representative.  Orbit codes ascend.
+    """
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    m = len(pairs)
+    place = {pair: 3 ** (m - 1 - k) for k, pair in enumerate(pairs)}
+    # tables[p][3k + d]: what digit d on pair k adds to the code of the
+    # graph relabelled by vertex permutation p; a relabelled arc keeps its
+    # digit when the image pair keeps its order and swaps 1 and 2 otherwise
+    tables = []
+    for perm in permutations(range(n)):
+        table = []
+        for u, v in pairs:
+            a, b = perm[u], perm[v]
+            if a < b:
+                table += (0, place[a, b], 2 * place[a, b])
+            else:
+                table += (0, 2 * place[b, a], place[b, a])
+        tables.append(table)
+    seen = bytearray(3 ** m)
+    for code, digits in enumerate(product((0, 1, 2), repeat=m)):
+        if seen[code]:
+            continue
+        picks = [3 * k + digit for k, digit in enumerate(digits)]
+        orbit = sorted({sum(map(table.__getitem__, picks)) for table in tables})
+        for member in orbit:
+            seen[member] = 1
+        yield _graph_from_digits(n, pairs, digits), tuple(orbit)
 
 
 # ---- labelled-graph sweeps ----

@@ -8,6 +8,7 @@ import pytest
 
 from antimagic import (
     build_cycle,
+    serialize,
     canonical_json,
     graph_to_dict,
     labels_to_dict,
@@ -353,6 +354,41 @@ def test_malformed_files_are_usage_errors(tmp_path, capsys, graph_bytes,
     assert code == 2
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("graph_doc, label_doc, message", [
+    ({"n": 30_000_000, "arcs": []}, {"labels": [1, 2, 3]}, '"n" must be'),
+    ({"n": 3, "arcs": [[1, 2], [2, 3], [1, 3], [3, 1]]},
+     {"labels": [1, 2, 3]}, "4 arcs, more than 3 vertices"),
+    ({"n": 3, "arcs": []}, {"labels": list(range(1, 10_002))},
+     "10001 labels, more than 10000"),
+], ids=["order", "arcs", "labels"])
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_oversized_files_are_usage_errors(tmp_path, capsys, monkeypatch,
+                                          command, graph_doc, label_doc,
+                                          message):
+    real = serialize.OrientedGraph
+
+    def small_only(n, arcs):
+        assert n <= 3, f"built a graph on {n} vertices"
+        return real(n, arcs)
+
+    monkeypatch.setattr(serialize, "OrientedGraph", small_only)
+    gpath = tmp_path / "graph.json"
+    gpath.write_text(json.dumps(graph_doc))
+    lpath = tmp_path / "labels.json"
+    lpath.write_text(json.dumps(label_doc))
+    argv = [command, "--graph", str(gpath), "--labeling", str(lpath),
+            "--D", "1"]
+    if command == "export":
+        argv += ["--format", "dot"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 def test_bad_distance_set_text(tmp_path, capsys):

@@ -275,8 +275,11 @@ def test_normalize_distance_set():
         normalize_distance_set([])
     with pytest.raises(InvalidDistanceSetError):
         normalize_distance_set([-1])
+    for bad in (["x"], (1.5, 2.9), (2.0,), (True, 2), (1, "2")):
+        with pytest.raises(InvalidDistanceSetError, match="integers"):
+            normalize_distance_set(bad)
     with pytest.raises(InvalidDistanceSetError):
-        normalize_distance_set(["x"])
+        normalize_distance_set(5)
 
 
 def test_validate_distance_set_bounds():

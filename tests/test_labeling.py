@@ -45,8 +45,12 @@ def test_check_labeling_rejects_non_bijections():
         check_labeling([1, 1, 3], 3)
     with pytest.raises(InvalidParameterError):
         check_labeling([0, 1, 2], 3)
+    for bad in ([1, 2, True], [True, 2, 3], [1.0, 2, 3], [1.9, 2, 3],
+                ["1", 2, 3]):
+        with pytest.raises(InvalidParameterError):
+            check_labeling(bad, 3)
     with pytest.raises(InvalidParameterError):
-        check_labeling([1, 2, True], 3)
+        is_d_antimagic(build_cycle(4), (1.9, 2, 3, 4), (1,))
 
 
 # ---- neighborhoods ----

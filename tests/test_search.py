@@ -43,7 +43,7 @@ from antimagic import (
 from antimagic import labeling, search
 from antimagic.cli import main
 from antimagic.search import _lex_rank, _split_range
-from strategies import graphs_with_distance_sets
+from strategies import graphs_with_distance_sets, oriented_graphs
 
 
 # ---- the labeling search itself ----
@@ -339,29 +339,42 @@ def test_enumeration_rejects_bad_order():
 CLASS_COUNTS = {1: (1, 1), 2: (2, 0), 3: (7, 1), 4: (42, 4), 5: (582, 76)}
 
 
+def code_orbits(n, classes):
+    """canonical code -> orbit size of each (representative, orbit size)."""
+    return {search._canonical_code(n, g.arcs)[0]: orbit for g, orbit in classes}
+
+
 @pytest.mark.parametrize("n", sorted(CLASS_COUNTS))
 def test_isomorphism_classes_partition_the_enumeration(n):
-    classes = list(search._isomorphism_classes(n))
-    assert (len(classes),
-            sum(is_strongly_connected(g) for g, _ in classes)) == \
-        CLASS_COUNTS[n]
-    codes = [code for _, orbit in classes for code in orbit]
+    levels = search._class_levels(n, search._any_arcs)
+    assert [len(level) for level in levels] == \
+        [CLASS_COUNTS[k][0] for k in range(1, n + 1)]
+    classes = levels[-1]
+    assert sum(is_strongly_connected(g) for g, _ in classes) == \
+        CLASS_COUNTS[n][1]
+    assert sum(orbit for _, orbit in classes) == 3 ** comb(n, 2)
+    # the oracle index reads each orbit off the enumeration it partitions
+    oracle = list(oracles.isomorphism_classes(n))
+    codes = [code for _, orbit in oracle for code in orbit]
     assert sorted(codes) == list(range(3 ** comb(n, 2)))
-    for _, orbit in classes:
+    for _, orbit in oracle:
         assert factorial(n) % len(orbit) == 0
         assert list(orbit) == sorted(orbit)
-    # each representative is its orbit's lowest code, in first-seen order
-    reps = {orbit[0]: g for g, orbit in classes}
+    # each oracle representative is its orbit's lowest code, in first-seen
+    # order
+    reps = {orbit[0]: g for g, orbit in oracle}
     assert list(reps) == sorted(reps)
     for code, g in enumerate(enumerate_oriented_graphs(n)):
         if code in reps:
             assert reps[code] == g
+    assert code_orbits(n, classes) == \
+        code_orbits(n, ((g, len(orbit)) for g, orbit in oracle))
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_isomorphism_class_orbits_are_the_relabellings(n):
     graphs = list(enumerate_oriented_graphs(n))
-    for rep, orbit in search._isomorphism_classes(n):
+    for rep, orbit in oracles.isomorphism_classes(n):
         relabelled = {frozenset((p[u], p[v]) for u, v in rep.arcs)
                       for p in permutations(range(n))}
         assert relabelled == {graphs[code].arcs for code in orbit}
@@ -371,8 +384,9 @@ def test_isomorphism_class_orbits_are_the_relabellings(n):
 def test_canonical_code_names_the_isomorphism_classes(n):
     graphs = list(enumerate_oriented_graphs(n))
     codes = set()
-    for _, orbit in search._isomorphism_classes(n):
-        found = {search._canonical_code(graphs[code]) for code in orbit}
+    for _, orbit in oracles.isomorphism_classes(n):
+        found = {search._canonical_code(n, graphs[code].arcs)
+                 for code in orbit}
         assert len(found) == 1
         code, automorphisms = found.pop()
         assert factorial(n) // automorphisms == len(orbit)
@@ -380,28 +394,48 @@ def test_canonical_code_names_the_isomorphism_classes(n):
     assert len(codes) == CLASS_COUNTS[n][0]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_canonical_code_survives_relabelling(data):
+    g = data.draw(oriented_graphs(1, 7))
+    p = data.draw(st.permutations(range(g.n)))
+    code, automorphisms = search._canonical_code(g.n, g.arcs)
+    assert search._canonical_code(
+        g.n, [(p[u], p[v]) for u, v in g.arcs]) == (code, automorphisms)
+    assert factorial(g.n) % automorphisms == 0
+
+
 # oriented trees up to isomorphism (OEIS A000238)
 TREE_CLASS_COUNTS = {1: 1, 2: 1, 3: 3, 4: 8, 5: 27, 6: 91}
 
 
+def is_tree(g):
+    return g.arc_count == g.n - 1 and len(weak_components(g)) == 1
+
+
 @pytest.mark.parametrize("n", sorted(TREE_CLASS_COUNTS))
 def test_tree_classes_count_every_labelled_tree(n):
-    classes = list(search._tree_classes(n))
-    assert len(classes) == TREE_CLASS_COUNTS[n]
+    levels = search._class_levels(n, search._leaf_arcs)
+    assert [len(level) for level in levels] == \
+        [TREE_CLASS_COUNTS[k] for k in range(1, n + 1)]
+    classes = levels[-1]
     # n^(n-2) labelled trees (Cayley), each oriented 2^(n-1) ways
     assert sum(orbit for _, orbit in classes) == \
         (n ** (n - 2) * 2 ** (n - 1) if n > 1 else 1)
     for g, orbit in classes:
-        assert g.arc_count == n - 1 and len(weak_components(g)) == 1
+        assert is_tree(g)
         assert factorial(n) % orbit == 0
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_tree_class_orbits_partition_the_labelled_trees(n):
-    orbits = {search._canonical_code(g)[0]: orbit
-              for g, orbit in search._tree_classes(n)}
-    hits = Counter(search._canonical_code(g)[0] for g in enumerate_trees(n))
+    orbits = code_orbits(n, search._class_levels(n, search._leaf_arcs)[-1])
+    hits = Counter(search._canonical_code(n, g.arcs)[0]
+                   for g in enumerate_trees(n))
     assert hits == orbits
+    oracle = ((g, len(orbit)) for g, orbit in oracles.isomorphism_classes(n)
+              if is_tree(g))
+    assert code_orbits(n, oracle) == orbits
 
 
 def test_magic_graph_hunt_finds_a_frozen_witness():

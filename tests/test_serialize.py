@@ -59,6 +59,9 @@ def test_graph_from_dict_rejects_bad_documents():
         graph_from_dict({"n": 3, "arcs": [[0, 1]]})
     with pytest.raises(InvalidParameterError, match="vertex range"):
         graph_from_dict({"n": 3, "arcs": [[1, 4]]})
+    with pytest.raises(InvalidParameterError, match="from 1 to 10000"):
+        graph_from_dict({"n": 10_001, "arcs": []})
+    assert graph_from_dict({"n": 10_000, "arcs": []}).n == 10_000
 
 
 def test_labels_round_trip_and_validation():
