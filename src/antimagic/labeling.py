@@ -15,6 +15,7 @@ n(n+1)/2.  check_duality packages that identity and its corollaries.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
@@ -37,13 +38,27 @@ from .errors import (
 
 
 def check_labeling(labels: Sequence[int], n: int) -> tuple[int, ...]:
-    """Validate a bijection onto 1..n and return it as a tuple."""
+    """Validate a bijection onto 1..n and return it as a tuple.
+
+    A rejection names the length or the first bad label, never the whole
+    labeling, which may be long.
+    """
     values = tuple(labels)
-    if (len(values) != n or not all(map(is_int, values))
-            or sorted(values) != list(range(1, n + 1))):
-        raise InvalidParameterError(
-            f"labeling must be a bijection onto 1..{n}, got {labels!r}")
-    return values
+    if (len(values) == n and all(map(is_int, values))
+            and sorted(values) == list(range(1, n + 1))):
+        return values
+    problem = f"got {len(values)} labels"
+    if len(values) == n:
+        seen = set()
+        for v, label in enumerate(values):
+            fresh = is_int(label) and 1 <= label <= n
+            if not fresh or label in seen:
+                again = " again" if fresh else ""
+                problem = f"vertex {v} has label {reprlib.repr(label)}{again}"
+                break
+            seen.add(label)
+    raise InvalidParameterError(
+        f"labeling must be a bijection onto 1..{n}, {problem}")
 
 
 @dataclass(frozen=True)

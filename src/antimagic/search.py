@@ -3,14 +3,21 @@
 Searches walk label bijections in lexicographic order, so every result
 is deterministic: the witness of a successful search is the lex-least
 antimagic labeling, and candidates_examined is its 1-based rank.  A
-failed search reports the number of candidates it actually scanned
-(the whole space, or the budget).  Splitting work across processes
-never changes any of those numbers; jobs only buys wall-clock time.
+failed search reports the length of the rank prefix it covered (the
+whole space, or the budget).  The scan labels vertices 0, 1, ... in
+turn and checks each weight once its whole neighborhood is labelled;
+when two such weights collide, the labelings below that prefix, one
+run of consecutive ranks, all fail and are skipped, yet count as
+examined.  Splitting work across processes never changes any of those
+numbers; jobs only buys wall-clock time.
 
 The pruning shortcut rests on a necessary condition: two vertices with
 the same distance neighborhood get the same weight under every
 labeling, so the search can report exhausted-none without scanning.
 Such reports carry shortcut=True and candidates_examined=0.
+use_pruning=False (the command line's --no-prune) turns off only this
+shortcut; the scan skips collided runs either way and never sets
+shortcut.
 
 Sweep helpers re-check the characterization theorems mechanically.
 Each returns a CharacterizationCheck whose counterexamples tuple must
@@ -112,24 +119,99 @@ class SearchReport:
         return self.outcome == FOUND
 
 
+# The walk stops this many labels above the leaves and permutes the rest
+# in a flat loop: a run pruned any deeper holds at most two labelings,
+# fewer than a node of the walk costs.
+_FLAT_TAIL = 3
+
+
 def _scan_range(
     args: tuple[tuple[tuple[int, ...], ...], int, int, int],
 ) -> tuple[int, tuple[int, ...]] | None:
-    """Scan one contiguous block of the bijection sequence (worker body)."""
+    """Scan one contiguous block of the bijection sequence (worker body).
+
+    A depth-first walk gives vertex k each free label in ascending order,
+    so the labelings below a prefix of k labels are one run of (n - k)!
+    consecutive ranks (the Lehmer code), and they come in rank order.
+    The weight of x is final once vertex max(N_D(x)) is labelled (at the
+    root when N_D(x) is empty) and is checked there: a weight equal to
+    an earlier one fails every labeling below the prefix, so that whole
+    run is skipped.  Only prefixes whose run meets [start, stop) are
+    visited.  The walk stops _FLAT_TAIL labels above the leaves, and a
+    flat loop over the permutations of the free labels checks the
+    weights still open; when fewer than two weights are final by then,
+    nothing can prune and the whole block is that flat loop.
+    """
     nbhd, n, start, stop = args
-    source = islice(permutations(range(1, n + 1)), start, stop)
-    for rank, labels in enumerate(source, start=start):
-        seen = set()
-        for hood in nbhd:
-            w = 0
-            for u in hood:
-                w += labels[u]
-            if w in seen:
-                break
-            seen.add(w)
+    depths = [max(hood) + 1 if hood else 0 for hood in nbhd]
+    top = max(n - _FLAT_TAIL, 0)
+    if sum(depth <= top for depth in depths) < 2:
+        top = 0
+    final: list[list[tuple[int, ...]]] = [[] for _ in range(top + 1)]
+    rest = []  # the neighborhoods the flat loop checks, in vertex order
+    for hood, depth in zip(nbhd, depths):
+        (final[depth] if depth <= top else rest).append(hood)
+    if len(final[0]) > 1:
+        return None
+    seen = {0} if final[0] else set()
+    run = [0] * top  # run[k]: ranks below one label of vertex k, (n - 1 - k)!
+    size = factorial(n - top)
+    for k in range(top - 1, -1, -1):
+        run[k] = size
+        size *= n - k
+    labels = [0] * n
+    free = list(range(1, n + 1))
+    stack = []  # (index in free, end, base, weights fixed) per labelled vertex
+    k = base = 0
+    while True:  # enter the prefix labels[:k], whose run starts at rank base
+        if k == top:
+            prefix = tuple(labels[:top])
+            lo = start - base if start > base else 0
+            tails = islice(permutations(free), lo, stop - base)
+            for rank, tail in enumerate(tails, base + lo):
+                full = prefix + tail
+                taken = set(seen)
+                for hood in rest:
+                    w = 0
+                    for u in hood:
+                        w += full[u]
+                    if w in taken:
+                        break
+                    taken.add(w)
+                else:
+                    return rank, full
+            i = end = 0
         else:
-            return rank, labels
-    return None
+            i = (start - base) // run[k] if start > base else 0
+            end = min(n - k, -(-(stop - base) // run[k]))
+        while True:  # try labels free[i:end] on vertex k; back up when done
+            if i < end:
+                labels[k] = free.pop(i)
+                fixed = []
+                for hood in final[k + 1]:
+                    w = 0
+                    for u in hood:
+                        w += labels[u]
+                    if w in seen:
+                        break
+                    seen.add(w)
+                    fixed.append(w)
+                else:
+                    stack.append((i, end, base, fixed))
+                    base += i * run[k]
+                    k += 1
+                    break
+                seen.difference_update(fixed)
+                free.insert(i, labels[k])
+                i += 1
+            elif stack:
+                k -= 1
+                i, end, base, fixed = stack.pop()
+                seen.difference_update(fixed)
+                free.insert(i, labels[k])
+                i += 1
+            else:
+                return None
 
 
 def _split_range(total: int, jobs: int) -> list[tuple[int, int]]:
@@ -180,7 +262,14 @@ def exhaustive_labeling_search(
     use_pruning: bool = True,
     dm: DistanceMatrix | None = None,
 ) -> SearchReport:
-    """Hunt for the lex-least antimagic labeling by brute force."""
+    """Hunt for the lex-least antimagic labeling by brute force.
+
+    budget caps the scan at a prefix of that many ranks and jobs splits
+    it into contiguous chunks, one per process; neither changes the
+    witness or its rank.  Runs of labelings skipped because a prefix
+    already makes two weights collide count as examined.  use_pruning
+    turns the shortcut of the module docstring on or off, nothing else.
+    """
     started = time.perf_counter()
     if budget is not None:
         require_int("budget", budget, lo=1)

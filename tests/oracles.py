@@ -10,6 +10,10 @@ isomorphism_classes is the code-indexed class enumeration that the
 vertex-extension class generator of antimagic.search replaced: slow,
 but each orbit is read straight off the enumeration it partitions.
 
+scan_range is the flat permutation loop that the pruning walk of
+antimagic.search._scan_range replaced, kept word for word as the
+reference; flat_search wraps it in the search's counting rules.
+
 The labelled-graph sweeps at the end are the one exception: they run
 the package's own per-graph kernels on every labelled graph or tree,
 the slow path that the isomorphism-class sweeps of antimagic.search
@@ -20,12 +24,16 @@ monkeypatches a kernel changes both paths alike.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import islice, permutations, product
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from antimagic import OrientedGraph, labeling, search
 from antimagic.search import (
+    ABORTED_BUDGET,
     COMPLEMENT_DUALITY,
+    EXHAUSTED_NONE,
+    FOUND,
     MAGIC_WINDOW,
     TREE_DEPTH_ONE,
     CharacterizationCheck,
@@ -71,13 +79,18 @@ def weights(n: int, arcs: Iterable[tuple[int, int]], labels: Sequence[int],
             for v in range(n)]
 
 
+def neighborhood_table(n: int, arcs: Iterable[tuple[int, int]],
+                       d_set: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    dist = floyd_warshall(n, arcs)
+    wanted = set(d_set)
+    return tuple(tuple(u for u in range(n) if dist[v][u] in wanted)
+                 for v in range(n))
+
+
 def all_antimagic_labelings(n: int, arcs: Iterable[tuple[int, int]],
                             d_set: Iterable[int]) -> list[tuple[int, ...]]:
     """Every bijection with pairwise distinct weights, in lex order."""
-    arcs = list(arcs)
-    dist = floyd_warshall(n, arcs)
-    wanted = set(d_set)
-    hoods = [[u for u in range(n) if dist[v][u] in wanted] for v in range(n)]
+    hoods = neighborhood_table(n, arcs, d_set)
     hits = []
     for perm in permutations(range(1, n + 1)):
         ws = [sum(perm[u] for u in hood) for hood in hoods]
@@ -89,16 +102,51 @@ def all_antimagic_labelings(n: int, arcs: Iterable[tuple[int, int]],
 def all_magic_labelings(n: int, arcs: Iterable[tuple[int, int]],
                         d_set: Iterable[int]) -> list[tuple[tuple[int, ...], int]]:
     """Every bijection with one shared weight, with that weight, lex order."""
-    arcs = list(arcs)
-    dist = floyd_warshall(n, arcs)
-    wanted = set(d_set)
-    hoods = [[u for u in range(n) if dist[v][u] in wanted] for v in range(n)]
+    hoods = neighborhood_table(n, arcs, d_set)
     hits = []
     for perm in permutations(range(1, n + 1)):
         ws = [sum(perm[u] for u in hood) for hood in hoods]
         if len(set(ws)) == 1:
             hits.append((perm, ws[0]))
     return hits
+
+
+def scan_range(
+    args: tuple[tuple[tuple[int, ...], ...], int, int, int],
+) -> tuple[int, tuple[int, ...]] | None:
+    """Scan one contiguous block of the bijection sequence (worker body)."""
+    nbhd, n, start, stop = args
+    source = islice(permutations(range(1, n + 1)), start, stop)
+    for rank, labels in enumerate(source, start=start):
+        seen = set()
+        for hood in nbhd:
+            w = 0
+            for u in hood:
+                w += labels[u]
+            if w in seen:
+                break
+            seen.add(w)
+        else:
+            return rank, labels
+    return None
+
+
+def flat_search(
+    hoods: tuple[tuple[int, ...], ...], budget: int | None = None,
+) -> tuple[str, tuple[int, ...] | None, int]:
+    """(outcome, witness, candidates_examined) of a flat scan with no shortcut.
+
+    The witness is the first antimagic labeling in the rank prefix the
+    budget allows, and the count its 1-based rank; with none, the count
+    is the length of the prefix.
+    """
+    n = len(hoods)
+    space = factorial(n)
+    total = space if budget is None else min(budget, space)
+    hit = scan_range((hoods, n, 0, total))
+    if hit is not None:
+        return FOUND, hit[1], hit[0] + 1
+    return (ABORTED_BUDGET if total < space else EXHAUSTED_NONE), None, total
 
 
 def layer_sorted_forest_labels(

@@ -105,6 +105,22 @@ def test_verify_failure_lists_collisions(tmp_path, capsys):
     assert "collisions: v1=v2 v1=v3 v2=v3" in captured.out
 
 
+@pytest.mark.parametrize("labels, problem", [
+    (tuple(range(1, 10001)), "got 10000 labels"),
+    ((1, 1, 3), "vertex 1 has label 1 again")])
+def test_verify_rejects_a_bad_labeling_in_one_short_line(
+        tmp_path, capsys, labels, problem):
+    gpath = write_graph(tmp_path, build_cycle(3))
+    lpath = write_labels(tmp_path, labels)
+    code = main(["verify", "--graph", gpath, "--labeling", lpath,
+                 "--D", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and len(err) < 200
+    assert err.startswith("error: labeling must be a bijection onto 1..3")
+    assert problem in err
+
+
 def test_verify_magic_mode(tmp_path, capsys):
     gpath = write_graph(tmp_path, build_cycle(4))
     lpath = write_labels(tmp_path, (1, 2, 4, 3))
@@ -159,6 +175,17 @@ def test_search_shortcut_and_full_scan(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "candidates examined: 24" in captured.out
+
+
+def test_search_scans_all_of_ten_factorial(capsys):
+    # the walk prunes the whole space at its root: two vertices of the
+    # one-way 10-path have no vertex at distance 2, so both weigh 0
+    code = main(["search", "--path", "10", "--D", "2", "--no-prune"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[:-1] == ["outcome: exhausted-none",
+                          "candidates examined: 3628800"]
+    assert lines[-1].startswith("elapsed: ")
 
 
 def test_search_budget_from_the_environment(capsys, monkeypatch):

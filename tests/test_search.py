@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import comb, factorial
 
 import pytest
@@ -16,12 +17,16 @@ import oracles
 from antimagic import (
     ABORTED_BUDGET,
     EXHAUSTED_NONE,
+    EXPLICIT,
     AntimagicError,
     FOUND,
     InvalidParameterError,
+    LinearForestSpec,
     OrientedGraph,
     TheoremPreconditionError,
+    all_pairs_distances,
     build_cycle,
+    build_forest,
     build_path,
     check_forest_lemmas,
     check_path_characterizations,
@@ -280,6 +285,108 @@ def test_pruning_never_changes_the_outcome(pair):
     assert pruned.found == full.found
     if pruned.found:
         assert pruned.witness == full.witness
+
+
+# ---- the pruning walk against the flat scan ----
+
+
+SCAN_BUDGETS = (None, 1, 2, 5, 7, 13, 24)
+
+
+def _scan_key(g, ds, **kwargs):
+    report = exhaustive_labeling_search(g, ds, use_pruning=False, **kwargs)
+    return report.outcome, report.witness, report.candidates_examined
+
+
+def _valid_distance_sets(dm):
+    return [ds for ds in search._powerset(range(dm.partial_diameter + 1))
+            if ds]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_scan_matches_the_flat_scan_on_every_small_graph(n):
+    for g in enumerate_oriented_graphs(n):
+        dm = all_pairs_distances(g)
+        for ds in _valid_distance_sets(dm):
+            hoods = oracles.neighborhood_table(n, sorted(g.arcs), ds)
+            for budget in SCAN_BUDGETS:
+                assert _scan_key(g, ds, budget=budget, dm=dm) == \
+                    oracles.flat_search(hoods, budget), (g.arcs, ds, budget)
+
+
+def test_a_walk_down_to_the_leaves_matches_the_flat_scan(monkeypatch):
+    # with no flat tail every order-4 table is walked label by label
+    monkeypatch.setattr(search, "_FLAT_TAIL", 0)
+    for g in enumerate_oriented_graphs(4):
+        dm = all_pairs_distances(g)
+        for ds in _valid_distance_sets(dm):
+            hoods = oracles.neighborhood_table(4, sorted(g.arcs), ds)
+            for start, stop in ((0, 13), (7, 24)):
+                work = (hoods, 4, start, stop)
+                assert search._scan_range(work) == oracles.scan_range(work)
+
+
+def _sampled_forest(rng, n):
+    """A seeded oriented linear forest of total order n, two or more paths."""
+    parts = [p for p in search._partitions(n) if len(p) > 1]
+    lengths = tuple(sorted(rng.choice(parts)))
+    edges = n - len(lengths)
+    return build_forest(LinearForestSpec.from_lengths(
+        lengths, EXPLICIT, [rng.randrange(2) for _ in range(edges)]))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_scan_matches_the_flat_scan_on_sampled_paths_cycles_and_forests(n):
+    rng = random.Random(9000 + n)
+    graphs = [build_cycle(n)]
+    graphs += [build_path(n, rng.randrange(2 ** (n - 1))) for _ in range(4)]
+    graphs += [_sampled_forest(rng, n) for _ in range(3)]
+    for g in graphs:
+        dm = all_pairs_distances(g)
+        sets = _valid_distance_sets(dm)
+        for ds in rng.sample(sets, min(4, len(sets))):
+            hoods = oracles.neighborhood_table(n, sorted(g.arcs), ds)
+            for budget in (None, rng.randrange(1, factorial(n))):
+                assert _scan_key(g, ds, budget=budget, dm=dm) == \
+                    oracles.flat_search(hoods, budget), (g.arcs, ds, budget)
+
+
+def _pruned_block(hoods, rank):
+    """Length of the shortest prefix of labeling rank whose final weights collide."""
+    n = len(hoods)
+    labels = next(islice(permutations(range(1, n + 1)), rank, None))
+    for k in range(n + 1):
+        weights = [sum(labels[u] for u in hood)
+                   for hood in hoods if all(u < k for u in hood)]
+        if len(set(weights)) < len(weights):
+            return k
+    return None
+
+
+def test_chunks_and_budgets_may_cut_through_a_pruned_block(monkeypatch):
+    monkeypatch.setattr(search, "ProcessPoolExecutor",
+                        lambda max_workers: _InlinePool([], max_workers))
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    g = OrientedGraph(7, [(1, 2), (1, 3), (2, 0), (5, 2)])
+    hoods = oracles.neighborhood_table(7, sorted(g.arcs), (0, 2))
+    # the witness has rank 482, in the last chunk for jobs 2 and 3; the
+    # budget's end 499 and the chunk starts 250 (jobs=2) and 167 (jobs=3)
+    # all fall strictly inside runs the walk skips above the flat tail,
+    # and with budget 962 the jobs=2 chunk start 481 falls inside the
+    # flat tail's block of ranks 480..485, before the witness
+    assert oracles.flat_search(hoods)[2] == 482
+    assert [a for a, _ in _split_range(499, 2)] == [0, 250]
+    assert [a for a, _ in _split_range(499, 3)] == [0, 167, 333]
+    assert [a for a, _ in _split_range(962, 2)] == [0, 481]
+    for rank in (499, 250, 167):
+        k = _pruned_block(hoods, rank)
+        assert k <= 7 - search._FLAT_TAIL and rank % factorial(7 - k)
+    for budget in (None, 481, 482, 499, 962):
+        expected = oracles.flat_search(hoods, budget)
+        for jobs in (1, 2, 3):
+            assert _scan_key(g, (0, 2), budget=budget, jobs=jobs) == \
+                expected, (budget, jobs)
 
 
 # ---- magic labelings ----
