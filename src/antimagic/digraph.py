@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     InvalidDistanceSetError,
@@ -106,24 +106,42 @@ class DistanceMatrix:
         return max(d for row in self.rows for d in row if d is not None)
 
 
-def all_pairs_distances(g: OrientedGraph) -> DistanceMatrix:
-    """BFS from every vertex; unreachable pairs stay None."""
+def _balls(
+    g: OrientedGraph, sources: Iterable[int], depth: int | None = None,
+) -> Iterator[tuple[list[int], list[int | None]]]:
+    """(ball, dist) per source: the vertices within depth of it, in BFS order.
+
+    dist[u] is d(source, u) for u in ball and None elsewhere, so with no
+    depth it is the source's row of the distance matrix.  One dist list
+    serves every source and is reset through the ball when the next
+    source is drawn, so each source costs the size of its ball, not n;
+    read dist before resuming.  BFS order lists a ball by distance, so
+    its last vertex is its deepest, and when that lies shallower than
+    depth the BFS ran to completion.
+    """
     succ = g.successors
-    rows = []
-    for s in range(g.n):
-        dist: list[int | None] = [None] * g.n
+    limit = g.n if depth is None else depth
+    dist: list[int | None] = [None] * g.n
+    for s in sources:
         dist[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            dv = dist[v]
-            assert dv is not None
+        ball = [s]
+        for v in ball:
+            dv = dist[v] + 1
+            if dv > limit:
+                break  # the rest of the ball lies at depth limit as well
             for w in succ[v]:
                 if dist[w] is None:
-                    dist[w] = dv + 1
-                    queue.append(w)
-        rows.append(tuple(dist))
-    return DistanceMatrix(tuple(rows))
+                    dist[w] = dv
+                    ball.append(w)
+        yield ball, dist
+        for v in ball:
+            dist[v] = None
+
+
+def all_pairs_distances(g: OrientedGraph) -> DistanceMatrix:
+    """BFS from every vertex; unreachable pairs stay None."""
+    return DistanceMatrix(tuple(
+        tuple(dist) for _, dist in _balls(g, range(g.n))))
 
 
 def _resolve_dm(g: OrientedGraph, dm: DistanceMatrix | None) -> DistanceMatrix:
@@ -137,7 +155,7 @@ def _resolve_dm(g: OrientedGraph, dm: DistanceMatrix | None) -> DistanceMatrix:
 
 
 def partial_diameter(g: OrientedGraph) -> int:
-    return all_pairs_distances(g).partial_diameter
+    return max(dist[ball[-1]] for ball, dist in _balls(g, range(g.n)))
 
 
 def is_strongly_connected(g: OrientedGraph) -> bool:

@@ -18,14 +18,16 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .digraph import (
     DistanceMatrix,
     OrientedGraph,
+    _balls,
     _resolve_dm,
-    all_pairs_distances,
     is_strongly_connected,
+    normalize_distance_set,
+    partial_diameter,
     validate_distance_set,
 )
 from .errors import (
@@ -35,6 +37,8 @@ from .errors import (
     is_int,
     require_int,
 )
+
+R = TypeVar("R")
 
 
 def check_labeling(labels: Sequence[int], n: int) -> tuple[int, ...]:
@@ -88,7 +92,11 @@ def d_neighborhood(
     require_int("vertex", v)
     if not 0 <= v < g.n:
         raise InvalidParameterError(f"vertex {v} out of range")
-    return neighborhood_table(g, d_set)[v]
+    ds = normalize_distance_set(d_set)
+    ball, dist = next(_balls(g, (v,), ds[-1]))
+    if dist[ball[-1]] < ds[-1]:
+        validate_distance_set(ds, partial_diameter(g))
+    return _row(ball, dist, set(ds))
 
 
 def neighborhood_table(
@@ -98,12 +106,45 @@ def neighborhood_table(
     dm: DistanceMatrix | None = None,
 ) -> tuple[tuple[int, ...], ...]:
     """d_neighborhood for every vertex at once."""
+    if dm is None:
+        return tuple(_ball_rows(g, d_set, False, _row))
     dm = _resolve_dm(g, dm)
     ds = validate_distance_set(d_set, dm.partial_diameter)
     wanted = set(ds)
     return tuple(
         tuple(u for u in range(g.n) if row[u] in wanted)
         for row in dm.rows)
+
+
+def _row(
+    ball: list[int], dist: list[int | None], wanted: set[int],
+) -> tuple[int, ...]:
+    return tuple(sorted([u for u in ball if dist[u] in wanted]))
+
+
+def _ball_rows(
+    g: OrientedGraph,
+    d_set: Iterable[int],
+    clamp: bool,
+    row: Callable[[list[int], list[int | None], set[int]], R],
+) -> list[R]:
+    """row(ball, dist, D) for every vertex; D checked as by validate_distance_set.
+
+    Each ball is cut off at max(D).  One that reaches that depth proves
+    D within the partial diameter; when none does, every BFS ran to
+    completion and the deepest level reached is the partial diameter.
+    Distances beyond it never occur, so clamping needs no second pass.
+    """
+    ds = normalize_distance_set(d_set)
+    wanted = set(ds)
+    deepest = 0
+    rows = []
+    for ball, dist in _balls(g, range(g.n), ds[-1]):
+        deepest = max(deepest, dist[ball[-1]])
+        rows.append(row(ball, dist, wanted))
+    if deepest < ds[-1]:
+        validate_distance_set(ds, deepest, clamp)
+    return rows
 
 
 def _collisions(weights: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -125,9 +166,14 @@ def weight_profile(
     clamp: bool = False,
 ) -> WeightProfile:
     values = check_labeling(labels, g.n)
-    dm = all_pairs_distances(g)
-    ds = validate_distance_set(d_set, dm.partial_diameter, clamp)
-    return _profile(values, neighborhood_table(g, ds, dm=dm))
+
+    def weight(
+        ball: list[int], dist: list[int | None], wanted: set[int],
+    ) -> int:
+        return sum([values[u] for u in ball if dist[u] in wanted])
+
+    weights = tuple(_ball_rows(g, d_set, clamp, weight))
+    return WeightProfile(weights, _collisions(weights))
 
 
 def _profile(

@@ -10,6 +10,11 @@ isomorphism_classes is the code-indexed class enumeration that the
 vertex-extension class generator of antimagic.search replaced: slow,
 but each orbit is read straight off the enumeration it partitions.
 
+dense_distances is the per-source deque BFS that filled every row of
+the distance matrix before the verifiers moved to BFS balls cut off at
+max(D), and dense_weight_profile the weight_profile that read its
+weights off that matrix, both kept word for word as the reference.
+
 scan_range is the flat permutation loop that the pruning walk of
 antimagic.search._scan_range replaced, kept word for word as the
 reference; flat_search wraps it in the search's counting rules.
@@ -24,11 +29,20 @@ monkeypatches a kernel changes both paths alike.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import islice, permutations, product
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
-from antimagic import OrientedGraph, labeling, search
+from antimagic import (
+    DistanceMatrix,
+    OrientedGraph,
+    WeightProfile,
+    check_labeling,
+    labeling,
+    search,
+    validate_distance_set,
+)
 from antimagic.search import (
     ABORTED_BUDGET,
     COMPLEMENT_DUALITY,
@@ -85,6 +99,43 @@ def neighborhood_table(n: int, arcs: Iterable[tuple[int, int]],
     wanted = set(d_set)
     return tuple(tuple(u for u in range(n) if dist[v][u] in wanted)
                  for v in range(n))
+
+
+# ---- dense distances ----
+
+
+def dense_distances(g: OrientedGraph) -> DistanceMatrix:
+    """BFS from every vertex; unreachable pairs stay None."""
+    succ = g.successors
+    rows = []
+    for s in range(g.n):
+        dist: list[int | None] = [None] * g.n
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            dv = dist[v]
+            assert dv is not None
+            for w in succ[v]:
+                if dist[w] is None:
+                    dist[w] = dv + 1
+                    queue.append(w)
+        rows.append(tuple(dist))
+    return DistanceMatrix(tuple(rows))
+
+
+def dense_weight_profile(
+    g: OrientedGraph,
+    labels: Sequence[int],
+    d_set: Iterable[int],
+    *,
+    clamp: bool = False,
+) -> WeightProfile:
+    values = check_labeling(labels, g.n)
+    dm = dense_distances(g)
+    ds = validate_distance_set(d_set, dm.partial_diameter, clamp)
+    return labeling._profile(values,
+                             labeling.neighborhood_table(g, ds, dm=dm))
 
 
 def all_antimagic_labelings(n: int, arcs: Iterable[tuple[int, int]],

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from antimagic import (
+    OrientedGraph,
     build_cycle,
     serialize,
     canonical_json,
@@ -146,6 +147,17 @@ def test_verify_clamp_allows_large_distances(tmp_path, capsys):
     assert captured.out.startswith("weights:")
     assert main(["verify", "--graph", gpath, "--labeling", lpath,
                  "--D", "0,9"]) == 2
+
+
+def test_verify_at_the_file_order_cap(tmp_path, capsys):
+    n = serialize.MAX_FILE_ORDER
+    gpath = write_graph(tmp_path, OrientedGraph(n, []))
+    lpath = write_labels(tmp_path, tuple(range(1, n + 1)))
+    code = main(["verify", "--graph", gpath, "--labeling", lpath,
+                 "--D", "0"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "antimagic: yes" in captured.out.splitlines()
 
 
 def test_search_found_on_a_path(capsys):

@@ -21,6 +21,8 @@ from antimagic import (
     build_cycle,
     build_path,
     classify_path_orientation,
+    digraph,
+    enumerate_oriented_graphs,
     is_strongly_connected,
     is_unidirectional_path,
     normalize_distance_set,
@@ -123,6 +125,26 @@ def test_partial_diameter_frozen_values():
 @given(oriented_graphs(min_n=1, max_n=6))
 def test_partial_diameter_matches_oracle(g):
     assert partial_diameter(g) == oracles.partial_diameter(g.n, g.arcs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_balls_are_the_distance_rows_cut_off_at_a_depth(n):
+    for g in enumerate_oriented_graphs(n):
+        fw = oracles.floyd_warshall(g.n, g.arcs)
+        assert all_pairs_distances(g) == oracles.dense_distances(g)
+        for depth in (*range(n + 1), None):
+            limit = n if depth is None else depth
+            got = [(list(ball), [dist[u] for u in ball], dist.count(None))
+                   for ball, dist in digraph._balls(g, range(n), depth)]
+            for s, (ball, dists, unset) in enumerate(got):
+                row = fw[s]
+                assert ball[0] == s
+                assert sorted(ball) == [u for u in range(n)
+                                        if row[u] is not None
+                                        and row[u] <= limit]
+                assert dists == [row[u] for u in ball]
+                assert dists == sorted(dists)
+                assert unset == n - len(ball)
 
 
 def test_distance_matrix_size_check():

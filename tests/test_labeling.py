@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import inspect
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -10,8 +12,11 @@ from hypothesis import strategies as st
 
 import oracles
 from antimagic import (
+    AntimagicError,
     InvalidDistanceSetError,
     InvalidParameterError,
+    LinearForestSpec,
+    OrientedGraph,
     TheoremPreconditionError,
     all_pairs_distances,
     build_cycle,
@@ -21,14 +26,23 @@ from antimagic import (
     check_labeling,
     complement_distance_set,
     d_neighborhood,
+    enumerate_oriented_graphs,
     is_d_antimagic,
     is_d_magic,
+    label_forest,
+    label_mpn,
+    label_mpn_general,
+    label_theta_double_prime,
+    label_theta_prime,
+    label_unidirectional_path,
+    labeling,
     mpn_spec,
     necessary_condition_distinct_neighborhoods,
     neighborhood_table,
+    search,
     weight_profile,
 )
-from strategies import graphs_with_distance_sets, labelings
+from strategies import graphs_with_distance_sets, labelings, oriented_graphs
 
 
 # ---- labeling validation ----
@@ -228,3 +242,128 @@ def test_equal_neighborhoods_force_equal_weights(case, data):
     profile = weight_profile(g, labels, ds)
     u, v = pair
     assert profile.weights[u] == profile.weights[v]
+
+
+# ---- BFS balls against the dense reference ----
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except AntimagicError as exc:
+        return type(exc), str(exc)
+
+
+def _check_against_dense(g, labels, d_sets):
+    """weight_profile and neighborhood_table on g against the dense paths.
+
+    Each distance set is checked with and without clamp; the weights of
+    a run that succeeds also match Floyd-Warshall, and one fails exactly
+    when D reaches past the partial diameter and clamping cannot help.
+    """
+    pd = oracles.partial_diameter(g.n, g.arcs)
+    dm = oracles.dense_distances(g)
+    for ds in d_sets:
+        fw = oracles.weights(g.n, g.arcs, labels, ds)
+        for clamp in (False, True):
+            got = _outcome(weight_profile, g, labels, ds, clamp=clamp)
+            assert got == _outcome(oracles.dense_weight_profile, g, labels,
+                                   ds, clamp=clamp), (g, ds, clamp)
+            fails = max(ds) > pd and (not clamp or min(ds) > pd)
+            if fails:
+                assert got[0] is InvalidDistanceSetError
+            else:
+                assert list(got.weights) == fw
+        assert (_outcome(neighborhood_table, g, ds)
+                == _outcome(neighborhood_table, g, ds, dm=dm)), (g, ds)
+
+
+def _small_graphs(n):
+    """Every oriented graph of order n; one per isomorphism class at 5."""
+    if n < 5:
+        return enumerate_oriented_graphs(n)
+    return (rep for rep, _ in search._class_levels(n, search._any_arcs)[-1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_ball_weights_match_the_dense_reference(n):
+    rng = random.Random(n)
+    for g in _small_graphs(n):
+        labels = tuple(rng.sample(range(1, n + 1), n))
+        pd = oracles.partial_diameter(g.n, g.arcs)
+        d_sets = [ds for ds in search._powerset(range(pd + 2)) if ds]
+        _check_against_dense(g, labels, d_sets)
+
+
+def test_ball_weights_match_the_dense_reference_on_constructions():
+    rng = random.Random(10)
+    results = []
+    for n in (rng.randint(100, 300), rng.randint(100, 300)):
+        high = rng.randint(2, n - 1)
+        results += [
+            label_unidirectional_path(n, (rng.randint(0, 1), high)),
+            label_theta_prime(n, (0, rng.randint(1, n - 3), n - 2)),
+            label_theta_double_prime(n, (0, n - 2)),
+            label_mpn(n // 10, 10, rng.randint(1, 9)),
+            label_mpn_general(n // 10, 10, (0, rng.randint(1, 9))),
+            label_forest(LinearForestSpec(
+                ((n // 30, 10), (n // 60, 20), (1, n // 3)))),
+        ]
+    for result in results:
+        g = result.graph
+        assert result.profile == oracles.dense_weight_profile(
+            g, result.labels, result.d_set)
+        assert neighborhood_table(g, result.d_set) == neighborhood_table(
+            g, result.d_set, dm=oracles.dense_distances(g))
+
+
+@given(oriented_graphs(max_n=7), st.data())
+def test_ball_weights_match_the_dense_reference_on_any_graph(g, data):
+    pd = oracles.partial_diameter(g.n, g.arcs)
+    ds = data.draw(st.sets(st.integers(0, pd + 2), min_size=1))
+    labels = data.draw(labelings(g.n))
+    _check_against_dense(g, labels, [tuple(sorted(ds))])
+
+
+def test_bad_labeling_is_reported_before_a_bad_distance_set():
+    g = build_path(4)
+    for fn in (weight_profile, oracles.dense_weight_profile):
+        with pytest.raises(InvalidParameterError):
+            fn(g, (1, 1, 2, 3), (9,))
+        with pytest.raises(InvalidDistanceSetError, match="exceeds"):
+            fn(g, (1, 2, 3, 4), (9,))
+        with pytest.raises(InvalidDistanceSetError, match="empty"):
+            fn(g, (1, 2, 3, 4), (4, 9), clamp=True)
+
+
+def test_balls_stop_at_the_largest_distance(monkeypatch):
+    sizes = []
+    balls = labeling._balls
+
+    def counted(*args):
+        for ball, dist in balls(*args):
+            sizes.append(len(ball))
+            yield ball, dist
+
+    monkeypatch.setattr(labeling, "_balls", counted)
+    n = 1000
+    g = build_path(n)
+    labels = tuple(range(n, 0, -1))
+    assert weight_profile(g, labels, (0, 1)).distinct
+    assert neighborhood_table(g, (1,))[0] == (1,)
+    assert d_neighborhood(g, 0, (1,)) == (1,)
+    assert max(sizes) == 2
+    assert len(sizes) == 2 * n + 1
+
+
+def test_weight_profile_memory_is_linear_in_the_order():
+    g = OrientedGraph(3000, [])
+    tracemalloc.start()
+    try:
+        profile = weight_profile(g, range(1, 3001), (0,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert profile.weights[-1] == 3000
+    assert peak < 4 * 2**20
