@@ -166,14 +166,81 @@ def weight_profile(
     clamp: bool = False,
 ) -> WeightProfile:
     values = check_labeling(labels, g.n)
+    runs = _linear_forest_runs(g)
+    if runs is not None:
+        weights = _run_weights(runs, values, d_set, clamp)
+    else:
+        def weight(
+            ball: list[int], dist: list[int | None], wanted: set[int],
+        ) -> int:
+            return sum([values[u] for u in ball if dist[u] in wanted])
 
-    def weight(
-        ball: list[int], dist: list[int | None], wanted: set[int],
-    ) -> int:
-        return sum([values[u] for u in ball if dist[u] in wanted])
-
-    weights = tuple(_ball_rows(g, d_set, clamp, weight))
+        weights = tuple(_ball_rows(g, d_set, clamp, weight))
     return WeightProfile(weights, _collisions(weights))
+
+
+def _linear_forest_runs(g: OrientedGraph) -> list[list[int]] | None:
+    """The directed runs of an oriented linear forest; None for any other graph.
+
+    A run follows out-arcs from a vertex with no in-arc to a sink, one
+    run per out-arc.  In a linear forest the ball of run[i] holds run[i + d]
+    at distance d on each run through it, and nothing else but itself.
+    """
+    succ, pred = g.successors, g.predecessors
+    if any(len(s) + len(p) > 2 for s, p in zip(succ, pred)):
+        return None
+    runs: list[list[int]] = []
+    at: dict[int, list[list[int]]] = {}  # the runs that start or end at v
+    for s in range(g.n):
+        if pred[s]:
+            continue
+        for v in succ[s]:
+            run = [s, v]
+            while nxt := succ[v]:
+                v = nxt[0]
+                run.append(v)
+            runs.append(run)
+            at.setdefault(s, []).append(run)
+            at.setdefault(v, []).append(run)
+    # With every degree at most 2, the runs cover every arc but those of
+    # directed cycles, and join at shared ends into paths and cycles of
+    # runs.  Walking each path from both of its ends reaches every run
+    # twice exactly when there is no cycle.
+    reached = 0
+    for end in [v for v, ending in at.items() if len(ending) == 1]:
+        run = at[end][0]
+        while True:
+            reached += 1
+            end = run[0] if run[-1] == end else run[-1]
+            ending = at[end]
+            if len(ending) == 1:
+                break
+            run = ending[1] if ending[0] is run else ending[0]
+    if reached < 2 * len(runs) or len(g.arcs) > sum(map(len, runs)) - len(runs):
+        return None
+    return runs
+
+
+def _run_weights(
+    runs: list[list[int]],
+    values: tuple[int, ...],
+    d_set: Iterable[int],
+    clamp: bool,
+) -> tuple[int, ...]:
+    """weight_profile's weights from the runs of a linear forest.
+
+    The longest run less one is the partial diameter.
+    """
+    ds = normalize_distance_set(d_set)
+    deepest = max(map(len, runs), default=1) - 1
+    if ds[-1] > deepest:
+        ds = validate_distance_set(ds, deepest, clamp)
+    weights = list(values) if ds[0] == 0 else [0] * len(values)
+    for d in filter(None, ds):
+        for run in runs:
+            for v, u in zip(run, run[d:]):
+                weights[v] += values[u]
+    return tuple(weights)
 
 
 def _profile(

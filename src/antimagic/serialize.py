@@ -19,7 +19,8 @@ from .labeling import check_labeling, weight_profile
 from .search import CharacterizationCheck, SearchReport
 
 # the most vertices or labels a file may hold, checked before anything
-# is built from it: every vertex costs a distance row and a DOT line
+# is built from it: verify weighs every vertex off its BFS ball, or off
+# its directed runs in a linear forest, and export writes it a DOT line
 MAX_FILE_ORDER = 10_000
 
 

@@ -15,6 +15,10 @@ the distance matrix before the verifiers moved to BFS balls cut off at
 max(D), and dense_weight_profile the weight_profile that read its
 weights off that matrix, both kept word for word as the reference.
 
+is_linear_forest and linear_forest_edges decide and list linear
+forests by union-find on the underlying edges, independently of the
+walk over directed runs by which weight_profile recognises them.
+
 scan_range is the flat permutation loop that the pruning walk of
 antimagic.search._scan_range replaced, kept word for word as the
 reference; flat_search wraps it in the search's counting rules.
@@ -30,7 +34,7 @@ monkeypatches a kernel changes both paths alike.
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice, permutations, product
+from itertools import combinations, islice, permutations, product
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -99,6 +103,38 @@ def neighborhood_table(n: int, arcs: Iterable[tuple[int, int]],
     wanted = set(d_set)
     return tuple(tuple(u for u in range(n) if dist[v][u] in wanted)
                  for v in range(n))
+
+
+# ---- linear forests ----
+
+
+def is_linear_forest(n: int, edges: Iterable[tuple[int, int]]) -> bool:
+    """No vertex of degree above 2 and no cycle in the underlying graph."""
+    degree = [0] * n
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+        ru, rv = find(u), find(v)
+        if ru == rv or degree[u] > 2 or degree[v] > 2:
+            return False
+        root[ru] = rv
+    return True
+
+
+def linear_forest_edges(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Every undirected edge set on 0..n-1 that forms a linear forest."""
+    pairs = list(combinations(range(n), 2))
+    for k in range(n):
+        for edges in combinations(pairs, k):
+            if is_linear_forest(n, edges):
+                yield edges
 
 
 # ---- dense distances ----

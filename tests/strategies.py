@@ -25,6 +25,23 @@ def oriented_graphs(draw, min_n: int = 1, max_n: int = 5) -> OrientedGraph:
 
 
 @st.composite
+def linear_forests(draw, min_n: int = 1, max_n: int = 12) -> OrientedGraph:
+    """Any oriented linear forest: the vertices in a drawn order, each
+    consecutive pair joined or not and, when joined, directed either way."""
+    n = draw(st.integers(min_n, max_n))
+    order = draw(st.permutations(range(n)))
+    steps = draw(st.lists(st.sampled_from((0, 1, 2)),
+                          min_size=n - 1, max_size=n - 1))
+    arcs = []
+    for u, v, step in zip(order, order[1:], steps):
+        if step == 1:
+            arcs.append((u, v))
+        elif step == 2:
+            arcs.append((v, u))
+    return OrientedGraph(n, arcs)
+
+
+@st.composite
 def graphs_with_distance_sets(
     draw, min_n: int = 1, max_n: int = 5,
 ) -> tuple[OrientedGraph, tuple[int, ...]]:

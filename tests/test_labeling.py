@@ -5,9 +5,10 @@ from __future__ import annotations
 import inspect
 import random
 import tracemalloc
+from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -40,9 +41,15 @@ from antimagic import (
     necessary_condition_distinct_neighborhoods,
     neighborhood_table,
     search,
+    validate_distance_set,
     weight_profile,
 )
-from strategies import graphs_with_distance_sets, labelings, oriented_graphs
+from strategies import (
+    graphs_with_distance_sets,
+    labelings,
+    linear_forests,
+    oriented_graphs,
+)
 
 
 # ---- labeling validation ----
@@ -351,10 +358,117 @@ def test_balls_stop_at_the_largest_distance(monkeypatch):
     g = build_path(n)
     labels = tuple(range(n, 0, -1))
     assert weight_profile(g, labels, (0, 1)).distinct
+    assert sizes == []  # a path is weighed along its runs
+    assert weight_profile(build_cycle(n), labels, (0, 1)).weights[-1] == 1 + n
     assert neighborhood_table(g, (1,))[0] == (1,)
     assert d_neighborhood(g, 0, (1,)) == (1,)
     assert max(sizes) == 2
     assert len(sizes) == 2 * n + 1
+
+
+# ---- directed runs of linear forests ----
+
+
+def _ball_profile(*args, **kwargs):
+    """weight_profile with the run path switched off: BFS balls for every graph."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(labeling, "_linear_forest_runs", lambda g: None)
+        return weight_profile(*args, **kwargs)
+
+
+def _check_runs(g, labels):
+    """The run weights of the linear forest g against the dense distances.
+
+    Every D within {0..pd+1} is checked with and without clamp.  The
+    dense distances are first checked equal to those of the BFS balls,
+    so the weights summed off them are what the ball path computes.
+    """
+    runs = labeling._linear_forest_runs(g)
+    assert runs is not None, g
+    dm = oracles.dense_distances(g)
+    assert all_pairs_distances(g) == dm
+    pd = dm.partial_diameter
+    by_d = [tuple(sum(labels[u] for u, duv in enumerate(row) if duv == d)
+                  for row in dm.rows) for d in range(pd + 1)]
+    too_far = _outcome(validate_distance_set, (pd + 1,), pd)
+    none_left = _outcome(validate_distance_set, (pd + 1,), pd, True)
+    for ds in filter(None, search._powerset(range(pd + 2))):
+        kept = ds[:-1] if ds[-1] > pd else ds
+        want = (tuple(map(sum, zip(*(by_d[d] for d in kept)))) if kept
+                else none_left)
+        for clamp in (False, True):
+            got = _outcome(labeling._run_weights, runs, labels, ds, clamp)
+            assert got == (want if clamp or kept is ds else too_far), (
+                g, ds, clamp)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_runs_are_read_exactly_on_linear_forests(n):
+    rng = random.Random(n)
+    for g in enumerate_oriented_graphs(n):
+        forest = oracles.is_linear_forest(n, g.arcs)
+        assert (labeling._linear_forest_runs(g) is not None) == forest, g
+        if forest:
+            _check_runs(g, tuple(rng.sample(range(1, n + 1), n)))
+
+
+def test_runs_on_every_labelled_linear_forest_of_order_5():
+    rng = random.Random(5)
+    for edges in oracles.linear_forest_edges(5):
+        for bits in product((0, 1), repeat=len(edges)):
+            g = OrientedGraph(5, [(u, v) if bit else (v, u)
+                                  for (u, v), bit in zip(edges, bits)])
+            _check_runs(g, tuple(rng.sample(range(1, 6), 5)))
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_runs_on_every_relabelled_forest_shape(n):
+    rng = random.Random(n)
+    perm = rng.sample(range(n), n)
+    for lengths in search._partitions(n):
+        spec = LinearForestSpec.from_lengths(lengths)
+        for bits in product((0, 1), repeat=spec.total_edges):
+            laid_out = build_forest(
+                LinearForestSpec(spec.components, "explicit", bits))
+            g = OrientedGraph(n, [(perm[u], perm[v]) for u, v in laid_out.arcs])
+            _check_runs(g, tuple(rng.sample(range(1, n + 1), n)))
+
+
+@pytest.mark.parametrize("g, forest", [
+    (build_cycle(5), False),
+    # the two runs from source 0 meet at sink 2
+    (OrientedGraph(4, [(0, 1), (1, 2), (3, 2), (0, 3)]), False),
+    # a cycle of two runs beside a path of two runs
+    (OrientedGraph(6, [(0, 1), (1, 2), (0, 2), (4, 3), (4, 5)]), False),
+    # vertex 0 has degree 3
+    (OrientedGraph(5, [(0, 1), (0, 2), (3, 0), (2, 4)]), False),
+    (OrientedGraph(4, []), True),
+    # paths 4->0->7, 2->8<-5->1 and 6->3, and the isolated vertex 9
+    (OrientedGraph(10, [(4, 0), (0, 7), (2, 8), (5, 8), (5, 1), (6, 3)]),
+     True),
+])
+def test_graphs_beside_the_run_path_match_the_dense_reference(g, forest):
+    assert (labeling._linear_forest_runs(g) is not None) == forest
+    labels = tuple(range(g.n, 0, -1))
+    pd = oracles.partial_diameter(g.n, g.arcs)
+    _check_against_dense(g, labels, list(filter(
+        None, search._powerset(range(pd + 2)))))
+    if forest:
+        _check_runs(g, labels)
+
+
+@settings(max_examples=50, deadline=None)
+@given(linear_forests(), st.data())
+def test_runs_match_balls_and_dense_on_any_linear_forest(g, data):
+    assert labeling._linear_forest_runs(g) is not None
+    pd = oracles.partial_diameter(g.n, g.arcs)
+    ds = tuple(sorted(data.draw(st.sets(st.integers(0, pd + 2), min_size=1))))
+    labels = data.draw(labelings(g.n))
+    clamp = data.draw(st.booleans())
+    got = _outcome(weight_profile, g, labels, ds, clamp=clamp)
+    assert got == _outcome(_ball_profile, g, labels, ds, clamp=clamp)
+    assert got == _outcome(oracles.dense_weight_profile, g, labels, ds,
+                           clamp=clamp)
 
 
 def test_weight_profile_memory_is_linear_in_the_order():
