@@ -343,7 +343,14 @@ def validate_distance_set(
     With clamp=True entries beyond the partial diameter are dropped
     instead of rejected; the clamped set must stay non-empty.
     """
-    ds = normalize_distance_set(values)
+    return _bound_distance_set(
+        normalize_distance_set(values), partial_diam, clamp)
+
+
+def _bound_distance_set(
+    ds: tuple[int, ...], partial_diam: int, clamp: bool = False,
+) -> tuple[int, ...]:
+    """validate_distance_set's bound check on an already normalized set."""
     if ds[-1] > partial_diam:
         if not clamp:
             raise InvalidDistanceSetError(

@@ -24,6 +24,7 @@ from .digraph import (
     DistanceMatrix,
     OrientedGraph,
     _balls,
+    _bound_distance_set,
     _resolve_dm,
     is_strongly_connected,
     normalize_distance_set,
@@ -95,7 +96,7 @@ def d_neighborhood(
     ds = normalize_distance_set(d_set)
     ball, dist = next(_balls(g, (v,), ds[-1]))
     if dist[ball[-1]] < ds[-1]:
-        validate_distance_set(ds, partial_diameter(g))
+        _bound_distance_set(ds, partial_diameter(g))
     return _row(ball, dist, set(ds))
 
 
@@ -143,7 +144,7 @@ def _ball_rows(
         deepest = max(deepest, dist[ball[-1]])
         rows.append(row(ball, dist, wanted))
     if deepest < ds[-1]:
-        validate_distance_set(ds, deepest, clamp)
+        _bound_distance_set(ds, deepest, clamp)
     return rows
 
 
@@ -234,7 +235,7 @@ def _run_weights(
     ds = normalize_distance_set(d_set)
     deepest = max(map(len, runs), default=1) - 1
     if ds[-1] > deepest:
-        ds = validate_distance_set(ds, deepest, clamp)
+        ds = _bound_distance_set(ds, deepest, clamp)
     weights = list(values) if ds[0] == 0 else [0] * len(values)
     for d in filter(None, ds):
         for run in runs:

@@ -19,6 +19,14 @@ use_pruning=False (the command line's --no-prune) turns off only this
 shortcut; the scan skips collided runs either way and never sets
 shortcut.
 
+The magic scan has an exact shortcut of its own and no switch: when
+two vertices' neighborhoods differ in a way that makes their weights
+differ under every labeling (see _never_magic), it returns () without
+walking the bijections.  The graph hunt never builds the graphs of
+order 2 or more in which some vertex lacks an out-arc or an in-arc,
+since none of them is strongly connected; it skips nothing that would
+count towards candidates_examined.
+
 Sweep helpers re-check the characterization theorems mechanically.
 Each returns a CharacterizationCheck whose counterexamples tuple must
 stay empty.  In the path, tree and forest sweeps swept = checked +
@@ -307,6 +315,8 @@ def exhaustive_magic_search(
         raise InvalidParameterError(
             f"the magic scan is capped at order {MAX_MAGIC_ORDER}")
     nbhd = neighborhood_table(g, d_set, dm=dm)
+    if _never_magic(nbhd):
+        return ()
     hits = []
     for labels in permutations(range(1, g.n + 1)):
         lam = None
@@ -322,6 +332,22 @@ def exhaustive_magic_search(
         if lam != -1:
             hits.append((labels, lam))
     return tuple(hits)
+
+
+def _never_magic(nbhd: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether two weights differ under every labeling.
+
+    For vertices x and y, w(x) - w(y) is the label sum over
+    A = N_D(x) minus N_D(y) less the sum over B = N_D(y) minus N_D(x).
+    Labels are distinct and positive, so that is never 0 when exactly
+    one of A and B is empty, or when A = {a} and B = {b}.
+    """
+    hoods = [set(hood) for hood in nbhd]
+    for x, y in combinations(hoods, 2):
+        only_x, only_y = len(x - y), len(y - x)
+        if (only_x == 0) != (only_y == 0) or only_x == only_y == 1:
+            return True
+    return False
 
 
 def _lex_rank(labels: tuple[int, ...]) -> int:
@@ -347,6 +373,41 @@ def enumerate_oriented_graphs(n: int) -> Iterator[OrientedGraph]:
         yield OrientedGraph(n, [(u, v) if digit == 1 else (v, u)
                                 for (u, v), digit in zip(pairs, digits)
                                 if digit])
+
+
+def _two_way_arc_sets(n: int) -> Iterator[list[tuple[int, int]]]:
+    """Arcs of enumerate_oriented_graphs(n), in order, less dead ends.
+
+    A graph of order 2 or more in which some vertex has no out-arc or no
+    in-arc cannot be strongly connected, and is left out.  The vertex
+    pairs are walked depth first, last pair deepest.  Vertex u's last
+    pair is (u, n - 1), so once it is set, a subtree where u lacks an
+    out-arc or an in-arc is dropped whole; vertex n - 1 is checked at
+    the leaf.
+    """
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    out, inc = [0] * n, [0] * n
+    arcs: list[tuple[int, int]] = []
+
+    def walk(k: int) -> Iterator[list[tuple[int, int]]]:
+        if k == len(pairs):
+            if n == 1 or (out[-1] and inc[-1]):
+                yield list(arcs)
+            return
+        u, v = pairs[k]
+        for arc in (None, (u, v), (v, u)):
+            if arc:
+                arcs.append(arc)
+                out[arc[0]] += 1
+                inc[arc[1]] += 1
+            if v < n - 1 or (out[u] and inc[u]):
+                yield from walk(k + 1)
+            if arc:
+                arcs.pop()
+                out[arc[0]] -= 1
+                inc[arc[1]] -= 1
+
+    return walk(0)
 
 
 def _canonical_code(
@@ -419,11 +480,15 @@ def find_magic_graph(
 ) -> SearchReport:
     """First strongly connected graph and labeling with all weights equal.
 
-    Scans enumerate_oriented_graphs order by order, keeping only the
-    strongly connected graphs whose partial diameter covers the distance
-    set, and walks each one's bijections lexicographically.  With target
+    Scans the graphs of enumerate_oriented_graphs(n) in order, keeping
+    only the strongly connected ones whose partial diameter covers the
+    distance set, and walks each one's bijections lexicographically.
+    Graphs with a vertex lacking an out-arc or an in-arc are skipped
+    unbuilt, whole subtrees of the enumeration at a time.  With target
     set, only that magic constant counts as a hit.  candidates_examined
-    totals the labelings tried across qualifying graphs.
+    totals the labelings tried across qualifying graphs: n! for each
+    one scanned without a hit, even when the magic scan ruled it out at
+    once, and the witness's 1-based rank on the last.
     """
     started = time.perf_counter()
     require_int("graph hunt order", n, 1, MAX_GRAPH_HUNT_ORDER)
@@ -431,7 +496,8 @@ def find_magic_graph(
         require_int("target", target)
     ds = normalize_distance_set(d_set)
     examined = 0
-    for g in enumerate_oriented_graphs(n):
+    for arcs in _two_way_arc_sets(n):
+        g = OrientedGraph(n, arcs)
         if not is_strongly_connected(g):
             continue
         dm = all_pairs_distances(g)

@@ -19,6 +19,11 @@ is_linear_forest and linear_forest_edges decide and list linear
 forests by union-find on the underlying edges, independently of the
 walk over directed runs by which weight_profile recognises them.
 
+flat_magic_labelings is the flat permutation loop of
+antimagic.search.exhaustive_magic_search from before it learnt to
+answer () at once when two weights differ under every labeling, kept
+word for word as the reference.
+
 scan_range is the flat permutation loop that the pruning walk of
 antimagic.search._scan_range replaced, kept word for word as the
 reference; flat_search wraps it in the search's counting rules.
@@ -196,6 +201,27 @@ def all_magic_labelings(n: int, arcs: Iterable[tuple[int, int]],
         if len(set(ws)) == 1:
             hits.append((perm, ws[0]))
     return hits
+
+
+def flat_magic_labelings(
+    nbhd: tuple[tuple[int, ...], ...],
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every (labels, constant) with all weights over nbhd equal, lex order."""
+    hits = []
+    for labels in permutations(range(1, len(nbhd) + 1)):
+        lam = None
+        for hood in nbhd:
+            w = 0
+            for u in hood:
+                w += labels[u]
+            if lam is None:
+                lam = w
+            elif w != lam:
+                lam = -1
+                break
+        if lam != -1:
+            hits.append((labels, lam))
+    return tuple(hits)
 
 
 def scan_range(

@@ -416,6 +416,48 @@ def test_magic_search_agrees_with_the_oracle():
             g.n, sorted(g.arcs), ds)
 
 
+def valid_distance_sets(dm):
+    return (ds for ds in search._powerset(range(dm.partial_diameter + 1))
+            if ds)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_magic_search_agrees_with_the_oracle_on_every_graph(n):
+    for g in enumerate_oriented_graphs(n):
+        dm = all_pairs_distances(g)
+        for ds in valid_distance_sets(dm):
+            assert exhaustive_magic_search(g, ds, dm=dm) == tuple(
+                oracles.all_magic_labelings(n, sorted(g.arcs), ds)), \
+                (sorted(g.arcs), ds)
+
+
+def test_magic_search_agrees_with_the_flat_loop_on_order_5_classes():
+    # both sides survive relabelling, so the classes cover every graph
+    pairs = ruled_out = 0
+    for g, _ in search._class_levels(5, search._any_arcs)[-1]:
+        dm = all_pairs_distances(g)
+        for ds in valid_distance_sets(dm):
+            nbhd = labeling.neighborhood_table(g, ds, dm=dm)
+            pairs += 1
+            ruled_out += search._never_magic(nbhd)
+            assert exhaustive_magic_search(g, ds, dm=dm) == \
+                oracles.flat_magic_labelings(nbhd), (sorted(g.arcs), ds)
+    assert (pairs, ruled_out) == (6812, 6675)
+
+
+@pytest.mark.parametrize("g, ds", [
+    # N(1) = {1, 2} holds N(2) = {2}: exactly one side is empty
+    (build_path(3, 0), (0, 1)),
+    # N(0) = {1} and N(1) = {2} differ in one vertex each
+    (build_cycle(4), (1,)),
+])
+def test_magic_search_rules_out_never_magic_tables(g, ds):
+    nbhd = labeling.neighborhood_table(g, ds)
+    assert search._never_magic(nbhd)
+    assert oracles.flat_magic_labelings(nbhd) == ()
+    assert exhaustive_magic_search(g, ds) == ()
+
+
 def test_magic_search_order_guard():
     with pytest.raises(InvalidParameterError):
         exhaustive_magic_search(build_path(9, 0), (1,))
@@ -562,6 +604,31 @@ def test_magic_graph_hunt_exhausts_small_orders():
     empty = find_magic_graph(2, (0,))
     assert empty.outcome == EXHAUSTED_NONE
     assert empty.candidates_examined == 0
+
+
+@pytest.mark.parametrize("ds, target, outcome, examined", [
+    ((1,), -1, EXHAUSTED_NONE, 120 * 7998),
+    ((0, 4), None, EXHAUSTED_NONE, 571680),
+    ((1,), None, FOUND, 43813),
+])
+def test_magic_graph_hunt_order_5_pins(ds, target, outcome, examined):
+    report = find_magic_graph(5, ds, target)
+    assert (report.outcome, report.candidates_examined) == (outcome, examined)
+    if report.found:
+        assert report.witness == (1, 4, 2, 3, 5)
+        assert report.magic_constant == 5
+        assert sorted(report.witness_graph.arcs) == [
+            (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4), (4, 0), (4, 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_hunt_skips_exactly_the_graphs_with_a_dead_end(n):
+    kept = [OrientedGraph(n, arcs) for arcs in search._two_way_arc_sets(n)]
+    graphs = list(enumerate_oriented_graphs(n))
+    assert kept == [g for g in graphs if n == 1 or (
+        all(g.successors) and all(g.predecessors))]
+    assert [g for g in kept if is_strongly_connected(g)] == \
+        [g for g in graphs if is_strongly_connected(g)]
 
 
 def test_lex_rank_matches_the_permutation_order():
