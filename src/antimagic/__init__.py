@@ -55,7 +55,6 @@ from .generators import (
     build_path,
     enumerate_path_orientations,
     enumerate_trees,
-    forest_vertex_coords,
     forest_vertex_index,
     mpn_spec,
     parse_forest_spec,

@@ -20,9 +20,9 @@ from .constructions import (
     label_theta_prime,
     label_unidirectional_path,
 )
-from .digraph import normalize_distance_set
+from .digraph import THETA_DOUBLE_PRIME, THETA_PRIME, normalize_distance_set
 from .errors import AntimagicError, InvalidDistanceSetError, InvalidParameterError
-from .generators import build_cycle, build_path, parse_forest_spec
+from .generators import FORWARD, build_cycle, build_path, parse_forest_spec
 from .labeling import weight_profile
 from .search import (
     SearchReport,
@@ -68,9 +68,7 @@ def _parse_distance_set(text: str) -> tuple[int, ...]:
 
 
 def _parse_orientation(text: str) -> int | str:
-    if text in ("forward", "theta-prime", "theta-double-prime"):
-        return text
-    if text.startswith("0b"):
+    if text in (FORWARD, THETA_PRIME, THETA_DOUBLE_PRIME) or text.startswith("0b"):
         return text
     try:
         return int(text)

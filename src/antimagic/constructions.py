@@ -22,7 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .digraph import OrientedGraph, validate_distance_set
+from .digraph import (
+    THETA_DOUBLE_PRIME,
+    THETA_PRIME,
+    OrientedGraph,
+    validate_distance_set,
+)
 from .errors import (
     AntimagicError,
     InvalidParameterError,
@@ -32,9 +37,9 @@ from .errors import (
 from .generators import (
     PHI,
     LinearForestSpec,
+    _forest_layout,
     build_forest,
     build_path,
-    forest_vertex_index,
     mpn_spec,
 )
 from .labeling import WeightProfile, weight_profile
@@ -95,24 +100,20 @@ def label_theta_prime(n: int, d_set: Iterable[int]) -> ConstructionResult:
     require_int("path order", n, lo=3)
     ds = _check_theta_d_set(n, d_set)
     labels = [1] + [n - i + 1 for i in range(1, n)]
-    return _finish(build_path(n, "theta-prime"), labels, ds, TAG_THETA_PRIME)
+    return _finish(build_path(n, THETA_PRIME), labels, ds, TAG_THETA_PRIME)
 
 
 def label_theta_double_prime(n: int, d_set: Iterable[int]) -> ConstructionResult:
     require_int("path order", n, lo=3)
     ds = _check_theta_d_set(n, d_set)
     labels = list(range(1, n + 1))
-    return _finish(build_path(n, "theta-double-prime"), labels, ds,
+    return _finish(build_path(n, THETA_DOUBLE_PRIME), labels, ds,
                    TAG_THETA_DOUBLE_PRIME)
 
 
 def _mpn_labels(m: int, n: int) -> list[int]:
-    # layout is copy-major, the label formula is layer-major
-    labels = [0] * (m * n)
-    for j in range(1, m + 1):
-        for i in range(1, n + 1):
-            labels[(j - 1) * n + (i - 1)] = m * (i - 1) + j
-    return labels
+    # copy s of the layout is the paper's copy j; the formula is layer-major
+    return [m * (i - 1) + s for _, s, i in _forest_layout(((m, n),))]
 
 
 def label_mpn(m: int, n: int, k: int) -> ConstructionResult:
@@ -167,12 +168,8 @@ def label_forest(spec: LinearForestSpec) -> ConstructionResult:
     if spec.orientation != PHI:
         raise TheoremPreconditionError(
             "the mixed forest construction needs the phi orientation")
-    labels = [0] * spec.total_order
-    for j, (m, n) in enumerate(spec.components, start=1):
-        for s in range(1, m + 1):
-            for i in range(1, n + 1):
-                labels[forest_vertex_index(spec, j, s, i)] = forest_label_value(
-                    spec.components, j, s, i)
+    labels = [forest_label_value(spec.components, j, s, i)
+              for j, s, i in _forest_layout(spec.components)]
     d_set = (0,) if spec.total_order == 1 or max(
         n for _, n in spec.components) == 1 else (0, 1)
     return _finish(build_forest(spec), labels, d_set, TAG_MIXED_FOREST)

@@ -31,6 +31,14 @@ THETA_PRIME = "theta-prime"
 THETA_DOUBLE_PRIME = "theta-double-prime"
 OTHER = "other"
 
+# Direction bits, read from vertex 0, of the theta paths on k >= 2 edges:
+# theta-prime reverses only the first arc of a one-way path and
+# theta-double-prime reverses all arcs but the first.
+_THETA_BITS = {
+    THETA_PRIME: lambda k: (0,) + (1,) * (k - 1),
+    THETA_DOUBLE_PRIME: lambda k: (1,) + (0,) * (k - 1),
+}
+
 
 @dataclass(frozen=True)
 class OrientedGraph:
@@ -41,8 +49,13 @@ class OrientedGraph:
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]) -> None:
         require_int("vertex count", n, lo=1)
-        arc_set = frozenset((int(u), int(v)) for u, v in arcs)
+        arc_set = frozenset((u, v) for u, v in arcs)
         for u, v in arc_set:
+            # the exact-type test only spares the common case two calls
+            if not (type(u) is int and type(v) is int
+                    or is_int(u) and is_int(v)):
+                raise InvalidParameterError(
+                    f"arc ({u!r}, {v!r}) must join integer vertices")
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidParameterError(
                     f"arc ({u}, {v}) out of range for n={n}")
@@ -246,10 +259,9 @@ def _direction_bits(g: OrientedGraph, order: tuple[int, ...]) -> tuple[int, ...]
 def classify_path_orientation(g: OrientedGraph) -> str:
     """One of unidirectional, theta-prime, theta-double-prime, other.
 
-    Classification is up to path reversal.  Theta-prime reverses only the
-    first arc of a one-way path; theta-double-prime reverses all arcs but
-    the first.  Both classes are fixed under reversal, so they stay
-    distinguishable at every order, including 3.
+    Classification is up to path reversal, against the patterns of
+    _THETA_BITS.  Both theta classes are fixed under reversal, so they
+    stay distinguishable at every order, including 3.
     """
     order = path_vertex_order(g)
     if g.n == 1:
@@ -260,12 +272,11 @@ def classify_path_orientation(g: OrientedGraph) -> str:
     mirrored = tuple(1 - b for b in reversed(bits))
     readings = {bits, mirrored}
     k = len(bits)
-    if (1,) * k in readings:
+    if (1,) * k in readings:  # every order-2 path stops here
         return UNIDIRECTIONAL
-    if g.n >= 3 and (0,) + (1,) * (k - 1) in readings:
-        return THETA_PRIME
-    if g.n >= 3 and (1,) + (0,) * (k - 1) in readings:
-        return THETA_DOUBLE_PRIME
+    for kind, pattern in _THETA_BITS.items():
+        if pattern(k) in readings:
+            return kind
     return OTHER
 
 

@@ -1,16 +1,25 @@
 """Builders and enumerators for oriented paths, cycles, linear forests, trees.
 
-Path vertices sit at indices 0..n-1 in path order.  A bitmask orientation
-assigns one bit per edge: bit i (counting from the least significant bit)
-directs the edge between vertices i and i+1, with 1 meaning the arc runs
-from i to i+1 and 0 the reverse.
+Every builder lists its undirected edges as pairs (u, v) and turns them
+into arcs by one rule, owned by _orient: edge bit 1 keeps the listed
+direction u -> v and bit 0 reverses it.  An integer bitmask gives edge k
+the bit (mask >> k) & 1, least significant bit first, and a binary
+string is read most significant bit first; _mask_to_bits owns both
+decodings.
+
+A path lists edge i as (i, i+1) for its vertices 0..n-1 in path order.
+The theta orientations take their bits from digraph._THETA_BITS, next to
+the classifier that recognises them.  A tree lists its edges sorted.
 
 A linear forest spec lists components as (multiplicity, order) pairs with
-strictly increasing orders.  build_forest lays vertices out in component
-blocks in spec order, copies in order s = 1..m_j inside a block, and
-vertices in order i = 1..n_j inside a copy, so the global index of vertex
-(j, s, i) is block_offset(j) + (s - 1) * n_j + (i - 1).  Under the phi
-orientation every arc runs from vertex i+1 to vertex i of its copy.
+strictly increasing orders.  Its vertices are laid out copy-major:
+component blocks in spec order, copies s = 1..m_j inside a block, and
+vertices i = 1..n_j inside a copy, so the global index of vertex
+(j, s, i) is block_offset(j) + (s - 1) * n_j + (i - 1).  _forest_layout
+walks this layout and forest_vertex_index is its closed form.  Each copy
+lists its edges (i, i+1) in layout order, and the phi orientation gives
+every edge bit 0, so every arc runs from vertex i+1 to vertex i of its
+copy.
 """
 
 from __future__ import annotations
@@ -18,15 +27,13 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .digraph import OrientedGraph
-from .errors import InvalidParameterError, require_int
+from .digraph import _THETA_BITS, OrientedGraph
+from .errors import InvalidParameterError, is_int, require_int
 
 FORWARD = "forward"
 PHI = "phi"
-THETA_PRIME_ORIENTATION = "theta-prime"
-THETA_DOUBLE_PRIME_ORIENTATION = "theta-double-prime"
 EXPLICIT = "explicit"
 
 MAX_TREE_ORDER = 8
@@ -47,12 +54,10 @@ def _mask_to_bits(orientation: int | str, width: int) -> tuple[int, ...]:
     return tuple((orientation >> i) & 1 for i in range(width))
 
 
-def _path_arcs_from_bits(bits: tuple[int, ...], offset: int = 0) -> list[tuple[int, int]]:
-    arcs = []
-    for i, b in enumerate(bits):
-        u, v = offset + i, offset + i + 1
-        arcs.append((u, v) if b else (v, u))
-    return arcs
+def _orient(edges: Iterable[tuple[int, int]],
+            bits: Iterable[int]) -> list[tuple[int, int]]:
+    """Arcs of the listed edges: bit 1 keeps u -> v, bit 0 reverses it."""
+    return [(u, v) if b else (v, u) for (u, v), b in zip(edges, bits)]
 
 
 def build_path(n: int, orientation: int | str = FORWARD) -> OrientedGraph:
@@ -65,17 +70,13 @@ def build_path(n: int, orientation: int | str = FORWARD) -> OrientedGraph:
     require_int("path order", n, lo=1)
     if orientation == FORWARD:
         bits: tuple[int, ...] = (1,) * (n - 1)
-    elif orientation == THETA_PRIME_ORIENTATION:
+    elif isinstance(orientation, str) and orientation in _THETA_BITS:
         if n < 3:
-            raise InvalidParameterError("theta-prime needs n >= 3")
-        bits = (0,) + (1,) * (n - 2)
-    elif orientation == THETA_DOUBLE_PRIME_ORIENTATION:
-        if n < 3:
-            raise InvalidParameterError("theta-double-prime needs n >= 3")
-        bits = (1,) + (0,) * (n - 2)
+            raise InvalidParameterError(f"{orientation} needs n >= 3")
+        bits = _THETA_BITS[orientation](n - 1)
     else:
         bits = _mask_to_bits(orientation, n - 1)
-    return OrientedGraph(n, _path_arcs_from_bits(bits))
+    return OrientedGraph(n, _orient(((i, i + 1) for i in range(n - 1)), bits))
 
 
 def build_cycle(n: int) -> OrientedGraph:
@@ -108,7 +109,9 @@ class LinearForestSpec:
     edge_bits: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        comps = tuple((int(m), int(n)) for m, n in self.components)
+        comps = tuple((require_int("component multiplicity", m),
+                       require_int("component order", n))
+                      for m, n in self.components)
         object.__setattr__(self, "components", comps)
         if not comps:
             raise InvalidParameterError("forest spec needs at least one component")
@@ -127,8 +130,9 @@ class LinearForestSpec:
         if self.orientation == EXPLICIT:
             if self.edge_bits is None:
                 raise InvalidParameterError("explicit orientation needs edge_bits")
-            bits = tuple(int(b) for b in self.edge_bits)
-            if len(bits) != self.total_edges or set(bits) - {0, 1}:
+            bits = tuple(self.edge_bits)
+            if len(bits) != self.total_edges or not all(
+                    is_int(b) and b in (0, 1) for b in bits):
                 raise InvalidParameterError(
                     f"edge_bits must be {self.total_edges} bits of 0 or 1")
             object.__setattr__(self, "edge_bits", bits)
@@ -142,7 +146,8 @@ class LinearForestSpec:
         """Build a spec from a plain list of path orders, merging duplicates."""
         counts: dict[int, int] = {}
         for n in lengths:
-            counts[int(n)] = counts.get(int(n), 0) + 1
+            require_int("path order", n)
+            counts[n] = counts.get(n, 0) + 1
         comps = tuple((m, n) for n, m in sorted(counts.items()))
         return cls(comps, orientation,
                    None if edge_bits is None else tuple(edge_bits))
@@ -178,39 +183,25 @@ def forest_vertex_index(spec: LinearForestSpec, j: int, s: int, i: int) -> int:
     return offset + (s - 1) * n + (i - 1)
 
 
-def forest_vertex_coords(spec: LinearForestSpec, index: int) -> tuple[int, int, int]:
-    """Inverse of forest_vertex_index: (j, s, i), all 1-based."""
-    if not 0 <= index < spec.total_order:
-        raise InvalidParameterError(f"vertex index {index} out of range")
-    rest = index
-    for j, (m, n) in enumerate(spec.components, start=1):
-        block = m * n
-        if rest < block:
-            return j, rest // n + 1, rest % n + 1
-        rest -= block
-    raise AssertionError("unreachable")
+def _forest_layout(
+    components: Sequence[tuple[int, int]],
+) -> Iterator[tuple[int, int, int]]:
+    """(j, s, i), all 1-based, of every forest vertex in index order."""
+    for j, (m, n) in enumerate(components, start=1):
+        for s in range(1, m + 1):
+            for i in range(1, n + 1):
+                yield j, s, i
 
 
 def build_forest(spec: LinearForestSpec) -> OrientedGraph:
     """Oriented linear forest laid out as documented on the module."""
-    arcs: list[tuple[int, int]] = []
-    offset = 0
-    edge_cursor = 0
-    for m, n in spec.components:
-        for _ in range(m):
-            for i in range(n - 1):
-                u, v = offset + i, offset + i + 1
-                if spec.orientation == FORWARD:
-                    arcs.append((u, v))
-                elif spec.orientation == PHI:
-                    arcs.append((v, u))
-                else:  # EXPLICIT
-                    assert spec.edge_bits is not None
-                    bit = spec.edge_bits[edge_cursor]
-                    arcs.append((u, v) if bit else (v, u))
-                    edge_cursor += 1
-            offset += n
-    return OrientedGraph(spec.total_order, arcs)
+    # vertex v at position i > 1 closes the edge from its predecessor v - 1
+    edges = [(v - 1, v) for v, (_, _, i)
+             in enumerate(_forest_layout(spec.components)) if i > 1]
+    bits = spec.edge_bits
+    if bits is None:  # forward keeps every edge, phi reverses every edge
+        bits = (int(spec.orientation == FORWARD),) * spec.total_edges
+    return OrientedGraph(spec.total_order, _orient(edges, bits))
 
 
 def parse_forest_spec(text: str, orientation: str = PHI) -> LinearForestSpec:
@@ -269,8 +260,4 @@ def enumerate_trees(n: int) -> Iterator[OrientedGraph]:
     for seq in itertools.product(range(n), repeat=n - 2):
         edges = sorted(_prufer_edges(seq, n))
         for mask in range(1 << (n - 1)):
-            arcs = [
-                (u, v) if (mask >> k) & 1 else (v, u)
-                for k, (u, v) in enumerate(edges)
-            ]
-            yield OrientedGraph(n, arcs)
+            yield OrientedGraph(n, _orient(edges, _mask_to_bits(mask, n - 1)))

@@ -78,6 +78,7 @@ from .errors import (
 from .generators import (
     EXPLICIT,
     LinearForestSpec,
+    _mask_to_bits,
     build_cycle,
     build_forest,
     build_path,
@@ -749,7 +750,7 @@ def check_forest_lemmas(
             edges = total - len(parts)
             top = parts[0]
             for mask in range(2 ** edges):
-                bits = tuple((mask >> b) & 1 for b in range(edges))
+                bits = _mask_to_bits(mask, edges)
                 g = build_forest(
                     LinearForestSpec.from_lengths(lengths, EXPLICIT, bits))
                 _check_predictions(g, chain(
@@ -770,7 +771,7 @@ def check_forest_lemmas(
                  for extra in _powerset(range(1, n))),
                 ((m, n), "tail-to-head"))
             for copy_mask in range(2 ** (n - 1)):
-                copy_bits = tuple((copy_mask >> b) & 1 for b in range(n - 1))
+                copy_bits = _mask_to_bits(copy_mask, n - 1)
                 _check_predictions(
                     build_forest(mpn_spec(m, n, EXPLICIT, copy_bits * m)),
                     [(fam5, (0, n - 1), copy_mask in (0, 2 ** (n - 1) - 1))],

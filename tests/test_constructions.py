@@ -14,6 +14,7 @@ from antimagic import (
     TheoremPreconditionError,
     build_path,
     forest_label_value,
+    forest_vertex_index,
     is_d_antimagic,
     label_forest,
     label_mpn,
@@ -23,6 +24,7 @@ from antimagic import (
     label_unidirectional_path,
     mpn_spec,
 )
+from antimagic.search import _partitions
 
 
 # ---- one-way path ----
@@ -199,6 +201,27 @@ def test_forest_labels_match_the_layer_sort():
         expected = oracles.layer_sorted_forest_labels(comps)
         for (j, s, i), rank in expected.items():
             assert forest_label_value(comps, j, s, i) == rank
+
+
+def test_forest_construction_matches_the_layer_sort_on_every_small_shape():
+    shapes = 0
+    for total in range(1, 9):
+        for parts in _partitions(total):
+            spec = LinearForestSpec.from_lengths(parts)
+            labels = label_forest(spec).labels
+            for (j, s, i), rank in oracles.layer_sorted_forest_labels(
+                    spec.components).items():
+                assert labels[forest_vertex_index(spec, j, s, i)] == rank
+            shapes += 1
+    assert shapes == 66
+
+
+def test_path_copies_get_the_mixed_forest_labels():
+    # one component of m copies: both formulas rank layer by layer
+    for m in range(1, 5):
+        for n in range(2, 7):
+            assert (label_mpn(m, n, 1).labels
+                    == label_forest(mpn_spec(m, n)).labels)
 
 
 def test_forest_construction_is_a_clean_bijection():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import pytest
@@ -65,6 +66,13 @@ def test_arc_endpoints_must_be_in_range():
         OrientedGraph(3, [(0, 3)])
     with pytest.raises(InvalidParameterError):
         OrientedGraph(3, [(-1, 0)])
+
+
+@pytest.mark.parametrize("arc", [(0.9, 1.2), (True, 2), ("0", "1")])
+def test_arc_endpoints_must_be_integers(arc):
+    # int() would have turned each of these into a valid arc
+    with pytest.raises(InvalidParameterError, match=re.escape(f"arc {arc!r}")):
+        OrientedGraph(3, [arc])
 
 
 def test_duplicate_arcs_collapse():
@@ -242,6 +250,13 @@ def test_classification_is_mirror_invariant():
                 n, [(n - 1 - u, n - 1 - v) for u, v in g.arcs])
             assert (classify_path_orientation(g)
                     == classify_path_orientation(relabeled))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_classifier_recognises_the_named_paths_build_path_makes(n):
+    assert classify_path_orientation(build_path(n, "forward")) == UNIDIRECTIONAL
+    for name in (THETA_PRIME, THETA_DOUBLE_PRIME):
+        assert classify_path_orientation(build_path(n, name)) == name
 
 
 def test_arc_reversal_swaps_the_theta_classes():
