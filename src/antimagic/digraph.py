@@ -12,6 +12,7 @@ the largest finite distance that occurs.
 
 from __future__ import annotations
 
+import reprlib
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -49,8 +50,14 @@ class OrientedGraph:
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]) -> None:
         require_int("vertex count", n, lo=1)
-        arc_set = frozenset((u, v) for u, v in arcs)
-        for u, v in arc_set:
+        # checked before hashing: no arc may fail there or merge into another
+        arc_set: set[tuple[int, int]] = set()
+        for arc in arcs:
+            try:
+                u, v = arc
+            except (TypeError, ValueError):
+                raise InvalidParameterError(
+                    f"arc {reprlib.repr(arc)} must be a vertex pair") from None
             # the exact-type test only spares the common case two calls
             if not (type(u) is int and type(v) is int
                     or is_int(u) and is_int(v)):
@@ -63,9 +70,10 @@ class OrientedGraph:
                 raise InvalidParameterError(f"loop at vertex {u}")
             if (v, u) in arc_set:
                 raise InvalidParameterError(
-                    f"opposite arcs between {u} and {v}")
+                    f"opposite arcs between {v} and {u}")
+            arc_set.add((u, v))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arcs", arc_set)
+        object.__setattr__(self, "arcs", frozenset(arc_set))
 
     # ---- adjacency ----
 

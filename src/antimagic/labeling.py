@@ -10,7 +10,9 @@ weights differ and D-magic when they all agree.
 For a strongly connected graph the distance sets D and its complement
 D* inside {0..partial diameter} split every row of the distance matrix,
 so the two weights of a vertex always add up to the label total
-n(n+1)/2.  check_duality packages that identity and its corollaries.
+n(n+1)/2.  check_duality checks that identity and its corollaries for
+one labeling and one D from two neighborhood tables; the duality sweeps
+check them from per-distance level sums (search.duality_sweep_graph).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .digraph import (
     _balls,
     _bound_distance_set,
     _resolve_dm,
+    all_pairs_distances,
     is_strongly_connected,
     normalize_distance_set,
     partial_diameter,
@@ -329,46 +332,27 @@ def check_duality(
     so the two neighborhoods of a vertex partition the whole vertex set
     and the paired weights add up to n(n+1)/2.
     """
-    return _duality_checker(g, d_set, None)(labels)
-
-
-def _duality_checker(
-    g: OrientedGraph,
-    d_set: Iterable[int],
-    dm: DistanceMatrix | None,
-) -> Callable[[Sequence[int]], DualityReport]:
-    """check_duality for one graph and distance set, as a function of labels.
-
-    Everything that does not depend on the labeling (the strong
-    connectivity test, the complement and both neighborhood tables) is
-    done here, once.
-    """
     if not is_strongly_connected(g):
         raise TheoremPreconditionError(
             "duality needs a strongly connected graph")
-    dm = _resolve_dm(g, dm)
+    dm = all_pairs_distances(g)
     ds = validate_distance_set(d_set, dm.partial_diameter)
     comp = complement_distance_set(ds, dm.partial_diameter)
-    table_d = neighborhood_table(g, ds, dm=dm)
-    table_c = neighborhood_table(g, comp, dm=dm)
     n = g.n
-
-    def report(labels: Sequence[int]) -> DualityReport:
-        values = check_labeling(labels, n)
-        profile_d = _profile(values, table_d)
-        profile_c = _profile(values, table_c)
-        return DualityReport(
-            d_set=ds,
-            complement_set=comp,
-            label_total=n * (n + 1) // 2,
-            weight_sums=tuple(
-                a + b for a, b in zip(profile_d.weights, profile_c.weights)),
-            antimagic_d=profile_d.distinct,
-            antimagic_complement=profile_c.distinct,
-            magic_d=profile_d.magic_constant,
-            magic_complement=profile_c.magic_constant,
-        )
-    return report
+    values = check_labeling(labels, n)
+    profile_d = _profile(values, neighborhood_table(g, ds, dm=dm))
+    profile_c = _profile(values, neighborhood_table(g, comp, dm=dm))
+    return DualityReport(
+        d_set=ds,
+        complement_set=comp,
+        label_total=n * (n + 1) // 2,
+        weight_sums=tuple(
+            a + b for a, b in zip(profile_d.weights, profile_c.weights)),
+        antimagic_d=profile_d.distinct,
+        antimagic_complement=profile_c.distinct,
+        magic_d=profile_d.magic_constant,
+        magic_complement=profile_c.magic_constant,
+    )
 
 
 def necessary_condition_distinct_neighborhoods(

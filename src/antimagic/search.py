@@ -55,6 +55,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice, permutations, product
 from math import ceil, factorial
+from operator import add
 from typing import Callable, Iterable, Iterator
 
 from .digraph import (
@@ -85,7 +86,7 @@ from .generators import (
     enumerate_trees,
     mpn_spec,
 )
-from .labeling import _duality_checker, neighborhood_table
+from .labeling import check_labeling, neighborhood_table
 
 FOUND = "found"
 EXHAUSTED_NONE = "exhausted-none"
@@ -836,6 +837,12 @@ def duality_sweep_graph(
     paired with every labeling (all of them, or trials random ones):
     the two weights at each vertex must add up to the label total, the
     antimagic verdicts must agree, and magic constants must be dual.
+
+    It runs one labeling at a time.  level[d][v] sums the labels at
+    distance d from v; subset sums of the low and of the high half of
+    the levels, one vector add per subset, give the weights under D as
+    low[D & low half] + high[D & high half], and under its complement
+    the same way.  Counterexamples come as if D were the outer loop.
     """
     if trials is None and g.n > 6:
         raise InvalidParameterError(
@@ -846,13 +853,43 @@ def duality_sweep_graph(
         raise TheoremPreconditionError(
             "duality needs a strongly connected graph")
     dm = all_pairs_distances(g)
-    tally = _Tally(COMPLEMENT_DUALITY)
-    for ds in _proper_subsets(dm.partial_diameter):
-        check = _duality_checker(g, ds, dm)
-        for labels in _label_iter(g.n, trials, seed):
-            tally.record([] if check(labels).ok else
-                         [(tuple(sorted(g.arcs)), ds, labels)])
-    return tally.check(swept=1)
+    n, depth = g.n, dm.partial_diameter + 1
+    half = (depth + 1) // 2
+    total = n * (n + 1) // 2
+    failures = []
+    for count, labels in enumerate(_label_iter(n, trials, seed), 1):
+        values = check_labeling(labels, n)
+        levels = [[0] * n for _ in range(depth)]
+        for v, row in enumerate(dm.rows):
+            for u, d in enumerate(row):
+                if d is not None:
+                    levels[d][v] += values[u]
+        # subset sums of each half, indexed by bit mask within the half
+        low, high = [(0,) * n], [(0,) * n]
+        for d, level in enumerate(levels):
+            sums = low if d < half else high
+            sums += [tuple(map(add, s, level)) for s in sums]
+        # within a half, the complement of mask m sits at index -1 - m
+        for a, (low_d, low_c) in enumerate(zip(low, reversed(low))):
+            for b, (high_d, high_c) in enumerate(zip(high, reversed(high))):
+                w_d = list(map(add, low_d, high_d))
+                w_c = list(map(add, low_c, high_c))
+                seen_d, seen_c = len(set(w_d)), len(set(w_c))
+                if (set(map(add, w_d, w_c)) == {total}
+                        and (seen_d == n) == (seen_c == n)
+                        and (seen_d == 1) == (seen_c == 1)
+                        and (seen_d > 1 or w_d[0] + w_c[0] == total)):
+                    continue
+                mask = a | b << half
+                # the walk also passes the empty and the full set
+                if 0 < mask < (1 << depth) - 1:
+                    ds = tuple(d for d in range(depth) if mask >> d & 1)
+                    failures.append((len(ds), ds, count, labels))
+    failures.sort()  # (size, set) is _proper_subsets order
+    arcs = tuple(sorted(g.arcs))
+    return CharacterizationCheck(
+        COMPLEMENT_DUALITY, 1, count * ((1 << depth) - 2), 0,
+        tuple((arcs, ds, labels) for _, ds, _, labels in failures))
 
 
 def _class_sweep(

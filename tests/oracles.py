@@ -28,6 +28,11 @@ scan_range is the flat permutation loop that the pruning walk of
 antimagic.search._scan_range replaced, kept word for word as the
 reference; flat_search wraps it in the search's counting rules.
 
+duality_sweep_graph is the loop of antimagic.search.duality_sweep_graph
+from before the level-sum kernel, kept word for word as the reference:
+one labeling.check_duality per distance set and labeling, each paying
+for its own distance matrix and neighborhood tables.
+
 The labelled-graph sweeps at the end are the one exception: they run
 the package's own per-graph kernels on every labelled graph or tree,
 the slow path that the isomorphism-class sweeps of antimagic.search
@@ -45,7 +50,9 @@ from typing import Iterable, Iterator, Sequence
 
 from antimagic import (
     DistanceMatrix,
+    InvalidParameterError,
     OrientedGraph,
+    TheoremPreconditionError,
     WeightProfile,
     check_labeling,
     labeling,
@@ -62,6 +69,7 @@ from antimagic.search import (
     CharacterizationCheck,
     NeighborhoodSurvey,
 )
+from antimagic.errors import require_int
 
 INF = float("inf")
 
@@ -329,6 +337,29 @@ def isomorphism_classes(
         for member in orbit:
             seen[member] = 1
         yield _graph_from_digits(n, pairs, digits), tuple(orbit)
+
+
+def duality_sweep_graph(
+    g: OrientedGraph,
+    *,
+    trials: int | None = None,
+    seed: int = 0,
+) -> CharacterizationCheck:
+    if trials is None and g.n > 6:
+        raise InvalidParameterError(
+            "exhaustive duality checks are capped at order 6; pass trials=")
+    if trials is not None:
+        require_int("trials", trials, lo=1)
+    if not search.is_strongly_connected(g):
+        raise TheoremPreconditionError(
+            "duality needs a strongly connected graph")
+    dm = search.all_pairs_distances(g)
+    tally = search._Tally(COMPLEMENT_DUALITY)
+    for ds in search._proper_subsets(dm.partial_diameter):
+        for labels in search._label_iter(g.n, trials, seed):
+            tally.record([] if labeling.check_duality(g, labels, ds).ok else
+                         [(tuple(sorted(g.arcs)), ds, labels)])
+    return tally.check(swept=1)
 
 
 # ---- labelled-graph sweeps ----

@@ -75,6 +75,25 @@ def test_arc_endpoints_must_be_integers(arc):
         OrientedGraph(3, [arc])
 
 
+def test_arc_that_is_not_a_pair_is_rejected():
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape("arc (0, 1, 2) must be a vertex pair")):
+        OrientedGraph(3, [(0, 1, 2)])
+
+
+def test_arc_with_an_unhashable_endpoint_is_rejected():
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape("arc (0, [1]) must join integer")):
+        OrientedGraph(3, [(0, [1])])
+
+
+def test_float_arc_equal_to_a_valid_arc_is_rejected():
+    # checked before hashing, so it cannot merge into the int arc (0, 1)
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape("arc (0.0, 1) must join integer")):
+        OrientedGraph(3, [(0, 1), (0.0, 1)])
+
+
 def test_duplicate_arcs_collapse():
     g = OrientedGraph(3, [(0, 1), (0, 1), (1, 2)])
     assert g.arc_count == 2

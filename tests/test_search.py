@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -878,18 +879,83 @@ def test_duality_sweep_matches_the_labelled_graph_sweep(order, trials):
         oracles.duality_sweep(order, trials=trials, seed=11)
 
 
-def test_duality_sweep_builds_two_tables_per_distance_set(monkeypatch):
-    built = []
-    real = labeling.neighborhood_table
+def test_duality_sweep_work_bound(monkeypatch):
+    # one distance matrix per graph and one label check per labeling;
+    # the old kernel built two neighborhood tables per distance set and
+    # checked every labeling once per distance set (336 times here)
+    calls = Counter()
 
-    def counted(*args, **kwargs):
-        built.append(args[1])
-        return real(*args, **kwargs)
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(labeling, "neighborhood_table", counted)
+    for module, name in ((search, "all_pairs_distances"),
+                         (search, "check_labeling"),
+                         (search, "neighborhood_table"),
+                         (labeling, "neighborhood_table")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     check = duality_sweep_graph(build_cycle(4))
     assert check.checked == 336
-    assert len(built) == 2 * 14
+    assert calls == {"all_pairs_distances": 1, "check_labeling": 24}
+
+
+def _duality_peak(g, trials):
+    tracemalloc.start()
+    try:
+        duality_sweep_graph(g, trials=trials)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_duality_sweep_memory_does_not_grow_with_the_sample():
+    g = build_cycle(10)
+    duality_sweep_graph(g, trials=2)
+    assert _duality_peak(g, 50) <= _duality_peak(g, 2) + 1024
+
+
+def test_duality_sweep_memory_is_per_half_of_the_levels():
+    # the kernel that built two tables per distance set peaked at 2.2 MB
+    # here; one subset-sum table over all 14 levels would take about 8 MB
+    assert _duality_peak(build_cycle(14), 2) < 500_000
+
+
+def _strongly_connected(orders):
+    return [g for order in orders for g in enumerate_oriented_graphs(order)
+            if is_strongly_connected(g)]
+
+
+@pytest.mark.parametrize("trials", [None, 5])
+def test_duality_kernel_matches_the_check_duality_loop(trials):
+    graphs = _strongly_connected(range(2, 5))
+    assert len(graphs) == 68
+    for g in graphs:
+        assert duality_sweep_graph(g, trials=trials, seed=3) == \
+            oracles.duality_sweep_graph(g, trials=trials, seed=3)
+
+
+@pytest.mark.parametrize("g, trials", [
+    (OrientedGraph(1, []), None),
+    *[(build_cycle(n), None) for n in range(3, 7)],
+    *[(build_cycle(n), 7) for n in range(7, 10)]])
+def test_duality_kernel_matches_the_check_duality_loop_on_cycles(g, trials):
+    assert duality_sweep_graph(g, trials=trials, seed=5) == \
+        oracles.duality_sweep_graph(g, trials=trials, seed=5)
+
+
+@pytest.mark.parametrize("g, records", [
+    (build_path(4), 336), (build_path(5, 3), 720)])
+def test_duality_kernel_records_counterexamples_like_the_loop(
+        monkeypatch, g, records):
+    # with unreachable pairs the weights under D and its complement miss
+    # some labels, so forcing the precondition turns up counterexamples
+    monkeypatch.setattr(search, "is_strongly_connected", lambda g: True)
+    monkeypatch.setattr(labeling, "is_strongly_connected", lambda g: True)
+    check = duality_sweep_graph(g)
+    assert len(check.counterexamples) == records
+    assert check == oracles.duality_sweep_graph(g)
 
 
 @pytest.mark.parametrize("g", [build_path(4), OrientedGraph(3, [])])
