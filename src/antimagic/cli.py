@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import reprlib
 import sys
 from typing import Sequence
 
@@ -58,12 +59,13 @@ def _parse_distance_set(text: str) -> tuple[int, ...]:
     parts = [p for chunk in text.strip().strip("{}").split(",")
              for p in chunk.split()]
     if not parts:
-        raise InvalidDistanceSetError(f"empty distance set {text!r}")
+        raise InvalidDistanceSetError(f"empty distance set {reprlib.repr(text)}")
     try:
         values = [int(p) for p in parts]
     except ValueError:
         raise InvalidDistanceSetError(
-            f"distance sets are comma-separated integers, got {text!r}") from None
+            "distance sets are comma-separated integers, "
+            f"got {reprlib.repr(text)}") from None
     return normalize_distance_set(values)
 
 
@@ -75,7 +77,7 @@ def _parse_orientation(text: str) -> int | str:
     except ValueError:
         raise InvalidParameterError(
             f"orientation must be a name, a 0b mask, or an integer, "
-            f"got {text!r}") from None
+            f"got {reprlib.repr(text)}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -187,7 +189,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 budget = int(env)
             except ValueError:
                 raise InvalidParameterError(
-                    f"ANTIMAGIC_BUDGET must be an integer, got {env!r}") from None
+                    "ANTIMAGIC_BUDGET must be an integer, "
+                    f"got {reprlib.repr(env)}") from None
     report = exhaustive_labeling_search(
         g, d, budget=budget, jobs=args.jobs, use_pruning=not args.no_prune)
     _print_report(report)

@@ -373,7 +373,7 @@ def _bound_distance_set(
     if ds[-1] > partial_diam:
         if not clamp:
             raise InvalidDistanceSetError(
-                f"max distance {ds[-1]} exceeds partial diameter "
+                f"max distance {reprlib.repr(ds[-1])} exceeds partial diameter "
                 f"{partial_diam}")
         ds = tuple(d for d in ds if d <= partial_diam)
         if not ds:

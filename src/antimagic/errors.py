@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import reprlib
 from typing import Any
 
 
@@ -42,5 +43,6 @@ def require_int(name: str, value: Any, lo: int | None = None,
             wanted = "an integer" if lo is None else f"an integer >= {lo}"
         else:
             wanted = f"an integer from {lo} to {hi}"
-        raise InvalidParameterError(f"{name} must be {wanted}, got {value!r}")
+        raise InvalidParameterError(
+            f"{name} must be {wanted}, got {reprlib.repr(value)}")
     return value

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import reprlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -46,7 +47,8 @@ def _mask_to_bits(orientation: int | str, width: int) -> tuple[int, ...]:
         text = orientation[2:] if orientation.startswith("0b") else orientation
         if len(text) != width or set(text) - {"0", "1"}:
             raise InvalidParameterError(
-                f"orientation bitmask {orientation!r} must be {width} binary digits")
+                f"orientation bitmask {reprlib.repr(orientation)} must be "
+                f"{width} binary digits")
         # text reads most significant bit first
         return tuple(int(c) for c in reversed(text))
     require_int(f"orientation bitmask for {width} edges", orientation,
@@ -214,9 +216,9 @@ def parse_forest_spec(text: str, orientation: str = PHI) -> LinearForestSpec:
             m, n = int(m_text), int(n_text)
         except ValueError:
             raise InvalidParameterError(
-                f"bad forest component {part!r}, expected MxN") from None
+                f"bad forest component {reprlib.repr(part)}, expected MxN") from None
         if m < 1 or n < 1:
-            raise InvalidParameterError(f"bad forest component {part!r}")
+            raise InvalidParameterError(f"bad forest component {reprlib.repr(part)}")
         lengths.extend([n] * m)
     if not lengths:
         raise InvalidParameterError("empty forest spec")

@@ -7,12 +7,11 @@ and the D-weight of v adds up the labels over that neighborhood (an
 empty neighborhood weighs 0).  A labeling is D-antimagic when all
 weights differ and D-magic when they all agree.
 
-For a strongly connected graph the distance sets D and its complement
-D* inside {0..partial diameter} split every row of the distance matrix,
-so the two weights of a vertex always add up to the label total
-n(n+1)/2.  check_duality checks that identity and its corollaries for
-one labeling and one D from two neighborhood tables; the duality sweeps
-check them from per-distance level sums (search.duality_sweep_graph).
+D and its complement D* inside {0..partial diameter} split the finite
+entries of each distance row, so the two weights of v add up to the
+labels v reaches: n(n+1)/2 exactly when the row holds no None.
+check_duality checks that identity and its corollaries from two
+neighborhood tables; search.duality_sweep_graph decides them by row.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ exactly.
 from __future__ import annotations
 
 import json
+import reprlib
 from typing import Any, Sequence
 
 from .constructions import ConstructionResult
@@ -46,11 +47,11 @@ def graph_from_dict(obj: Any) -> OrientedGraph:
         if (not isinstance(entry, (list, tuple)) or len(entry) != 2
                 or not all(is_int(x) for x in entry)):
             raise InvalidParameterError(
-                f"each arc must be a pair of integers, got {entry!r}")
+                f"each arc must be a pair of integers, got {reprlib.repr(entry)}")
         u, v = entry
         if not 1 <= u <= n or not 1 <= v <= n:
             raise InvalidParameterError(
-                f"arc {entry!r} leaves the vertex range 1..{n}")
+                f"arc {reprlib.repr(entry)} leaves the vertex range 1..{n}")
         arcs.append((u - 1, v - 1))
     return OrientedGraph(n, arcs)
 
@@ -142,7 +143,7 @@ def _load_json(path: str) -> Any:
             return json.load(handle)
     except OSError as exc:
         raise InvalidParameterError(f"cannot read {path}: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidParameterError(f"{path} is not valid JSON: {exc}") from None
 
 

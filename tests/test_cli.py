@@ -380,6 +380,12 @@ def test_missing_file_is_a_usage_error(tmp_path, capsys):
     (b'{"n": 3, "arcs": 5}', b'{"labels": [1, 2, 3]}'),
     (b'{"n": 3, "arcs": [], "note": "caf\xe9"}', b'{"labels": [1, 2, 3]}'),
     (b'{"n": 3, "arcs": []}', b'{"labels": [1, 2, 3], "note": "\xff"}'),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, b'{"labels": [1, 2, 3]}',
+                 id="deep-graph"),
+    pytest.param(b'{"n": 3, "arcs": []}', b"[" * 100_000 + b"]" * 100_000,
+                 id="deep-labeling"),
+    pytest.param(b'{"n": ' + b"1" * 5000 + b', "arcs": []}',
+                 b'{"labels": [1, 2, 3]}', id="n-5000-digits"),
 ])
 def test_malformed_files_are_usage_errors(tmp_path, capsys, graph_bytes,
                                           label_bytes):
@@ -393,6 +399,45 @@ def test_malformed_files_are_usage_errors(tmp_path, capsys, graph_bytes,
     assert code == 2
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def _assert_one_short_error_line(code, captured):
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert len(captured.err) <= 200
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--cycle", "3", "--D", "1" + "0" * 3999],
+    ["search", "--cycle", "3", "--D", "1" + "0" * 4999],
+    ["sweep", "magic-bounds", "--order", "1" + "0" * 3999],
+    ["search", "--path", "4", "--D", "1", "--orientation", "1" + "0" * 3999],
+    ["search", "--path", "4", "--D", "1", "--orientation", "0b" + "1" * 5000],
+    ["search", "--path", "4", "--D", "1", "--orientation", "x" * 5000],
+    ["construct", "--family", "forest", "--spec", "1x" + "9" * 5000],
+], ids=["D-4000-digits", "D-5000-digits", "order-4000-digits",
+        "orientation-int", "orientation-mask", "orientation-name",
+        "forest-spec"])
+def test_long_inputs_echo_a_bounded_error_line(argv, capsys):
+    _assert_one_short_error_line(main(argv), capsys.readouterr())
+
+
+@pytest.mark.parametrize("arc", [[1, "x" * 5000], [1, 10 ** 3999]])
+def test_long_arc_entries_echo_a_bounded_error_line(tmp_path, capsys, arc):
+    gpath = tmp_path / "graph.json"
+    gpath.write_text(json.dumps({"n": 3, "arcs": [arc]}))
+    lpath = write_labels(tmp_path, (1, 2, 3))
+    code = main(["verify", "--graph", str(gpath), "--labeling", lpath,
+                 "--D", "1"])
+    _assert_one_short_error_line(code, capsys.readouterr())
+
+
+def test_long_budget_variable_echoes_a_bounded_error_line(monkeypatch,
+                                                          capsys):
+    monkeypatch.setenv("ANTIMAGIC_BUDGET", "x" * 5000)
+    code = main(["search", "--cycle", "3", "--D", "1"])
+    _assert_one_short_error_line(code, capsys.readouterr())
 
 
 @pytest.mark.parametrize("graph_doc, label_doc, message", [

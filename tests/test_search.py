@@ -958,6 +958,20 @@ def test_duality_kernel_records_counterexamples_like_the_loop(
     assert check == oracles.duality_sweep_graph(g)
 
 
+def test_duality_kernel_matches_the_loop_on_every_forced_small_shape(
+        monkeypatch):
+    # every class of order <= 4: full rows, short rows, and no arcs at all
+    monkeypatch.setattr(search, "is_strongly_connected", lambda g: True)
+    monkeypatch.setattr(labeling, "is_strongly_connected", lambda g: True)
+    graphs = [g for level in search._class_levels(4, search._any_arcs)
+              for g, _ in level]
+    assert len(graphs) == 52
+    for g in graphs:
+        trials = None if g.n <= 3 else 3
+        assert duality_sweep_graph(g, trials=trials, seed=4) == \
+            oracles.duality_sweep_graph(g, trials=trials, seed=4)
+
+
 @pytest.mark.parametrize("g", [build_path(4), OrientedGraph(3, [])])
 def test_duality_sweep_needs_a_strongly_connected_graph(g):
     with pytest.raises(TheoremPreconditionError):
