@@ -35,6 +35,7 @@ from .errors import (
     require_int,
 )
 from .generators import (
+    MAX_ORDER,
     PHI,
     LinearForestSpec,
     _forest_layout,
@@ -77,9 +78,16 @@ def _finish(
     return ConstructionResult(graph, tuple(labels), d_set, tag, profile)
 
 
+def _require_order(order: int) -> None:
+    """Refuse, before building it, a graph of more than MAX_ORDER vertices."""
+    if order > MAX_ORDER:
+        raise InvalidParameterError(
+            f"a construction has at most {MAX_ORDER} vertices")
+
+
 def label_unidirectional_path(n: int, d_set: Iterable[int]) -> ConstructionResult:
     """Antimagic labeling of the forward path for any D reaching depth <= 1."""
-    require_int("path order", n, lo=3)
+    require_int("path order", n, 3, MAX_ORDER)
     ds = validate_distance_set(d_set, n - 1)
     if ds[0] > 1:
         raise TheoremPreconditionError(
@@ -97,14 +105,14 @@ def _check_theta_d_set(n: int, d_set: Iterable[int]) -> tuple[int, ...]:
 
 
 def label_theta_prime(n: int, d_set: Iterable[int]) -> ConstructionResult:
-    require_int("path order", n, lo=3)
+    require_int("path order", n, 3, MAX_ORDER)
     ds = _check_theta_d_set(n, d_set)
     labels = [1] + [n - i + 1 for i in range(1, n)]
     return _finish(build_path(n, THETA_PRIME), labels, ds, TAG_THETA_PRIME)
 
 
 def label_theta_double_prime(n: int, d_set: Iterable[int]) -> ConstructionResult:
-    require_int("path order", n, lo=3)
+    require_int("path order", n, 3, MAX_ORDER)
     ds = _check_theta_d_set(n, d_set)
     labels = list(range(1, n + 1))
     return _finish(build_path(n, THETA_DOUBLE_PRIME), labels, ds,
@@ -120,6 +128,7 @@ def label_mpn(m: int, n: int, k: int) -> ConstructionResult:
     """{0, k}-antimagic labeling of m phi-oriented copies of the n-path."""
     require_int("copy count", m, lo=1)
     require_int("path order", n, lo=1)
+    _require_order(m * n)
     require_int("k", k, 1, n - 1)
     graph = build_forest(mpn_spec(m, n))
     return _finish(graph, _mpn_labels(m, n), (0, k), TAG_MPN_ZERO_K)
@@ -129,6 +138,7 @@ def label_mpn_general(m: int, n: int, d_set: Iterable[int]) -> ConstructionResul
     """D-antimagic labeling of m phi-oriented copies of the n-path, min(D) = 0."""
     require_int("copy count", m, lo=2)
     require_int("path order", n, lo=2)
+    _require_order(m * n)
     ds = validate_distance_set(d_set, n - 1)
     if ds[0] != 0:
         raise TheoremPreconditionError(
@@ -168,6 +178,7 @@ def label_forest(spec: LinearForestSpec) -> ConstructionResult:
     if spec.orientation != PHI:
         raise TheoremPreconditionError(
             "the mixed forest construction needs the phi orientation")
+    _require_order(spec.total_order)
     labels = [forest_label_value(spec.components, j, s, i)
               for j, s, i in _forest_layout(spec.components)]
     d_set = (0,) if spec.total_order == 1 or max(

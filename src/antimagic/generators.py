@@ -38,6 +38,11 @@ PHI = "phi"
 EXPLICIT = "explicit"
 
 MAX_TREE_ORDER = 8
+# the most vertices a construction builds or a graph or labeling file
+# holds, checked before anything is built: verify weighs every vertex
+# off its BFS ball, or off its directed runs in a linear forest, and
+# export writes it a DOT line
+MAX_ORDER = 10_000
 
 _FOREST_ORIENTATIONS = (FORWARD, PHI, EXPLICIT)
 
@@ -209,6 +214,7 @@ def build_forest(spec: LinearForestSpec) -> OrientedGraph:
 def parse_forest_spec(text: str, orientation: str = PHI) -> LinearForestSpec:
     """Parse a spec like "2x3,1x5,1x7" (multiplicity x order per component)."""
     lengths: list[int] = []
+    total = 0
     for part in text.split(","):
         part = part.strip()
         try:
@@ -219,6 +225,10 @@ def parse_forest_spec(text: str, orientation: str = PHI) -> LinearForestSpec:
                 f"bad forest component {reprlib.repr(part)}, expected MxN") from None
         if m < 1 or n < 1:
             raise InvalidParameterError(f"bad forest component {reprlib.repr(part)}")
+        total += m * n
+        if total > MAX_ORDER:
+            raise InvalidParameterError(
+                f"forest spec {reprlib.repr(text)} has more than {MAX_ORDER} vertices")
         lengths.extend([n] * m)
     if not lengths:
         raise InvalidParameterError("empty forest spec")

@@ -37,12 +37,14 @@ checked as the cases tried on them, and skip nothing.
 
 Distances, magic constants, the complement identity and the existence
 of an antimagic labeling all survive relabelling the vertices, and so
-does being a one-way path, so the duality, magic window, neighborhood
-survey and tree sweeps run on one graph per isomorphism class.  Their
-counts are still over labelled graphs: each class adds its result times
-its orbit size.  _class_levels builds the classes of oriented graphs
-and trees alike by vertex extension; _weighted_sweep weights them and
-re-checks the orbits of classes that turn up counterexamples.
+does the kind of an oriented path, so the duality, magic window,
+neighborhood survey, tree, path and forest sweeps run on one graph per
+isomorphism class.  Their counts are still over labelled graphs: each
+class adds its result times its orbit size.  _class_levels builds the
+classes of oriented graphs and trees by vertex extension, and _classes
+groups the oriented paths, read from either end, and the linear forests,
+up to swapping equal paths, from their labelled lists.  _weighted_sweep
+weights the classes and re-checks those that turn up counterexamples.
 """
 
 from __future__ import annotations
@@ -553,9 +555,10 @@ class _Tally:
         self.checked += 1
         self.counterexamples.extend(counterexamples)
 
-    def merge(self, other: _Tally | CharacterizationCheck) -> None:
-        self.checked += other.checked
-        self.skipped += other.skipped
+    def merge(self, other: _Tally | CharacterizationCheck, times: int = 1) -> None:
+        """Add other's counts, times over, and its counterexamples."""
+        self.checked += times * other.checked
+        self.skipped += times * other.skipped
         self.counterexamples.extend(other.counterexamples)
 
     def check(self, swept: int | None = None) -> CharacterizationCheck:
@@ -647,51 +650,78 @@ def check_path_characterizations(
       min distance at most 1
     * 0 and the next-to-longest distance present, nothing longer:
       antimagic exactly for the one-way and the two theta orientations
+
+    A path read from its other end has the same kind and verdicts, so
+    one mask of each such pair is searched and counted for both masks.
     """
     require_int("path sweep order", n_max, 3, 7)
     work = [(n, mask)
             for n in range(3, n_max + 1)
             for mask in range(2 ** (n - 1))]
-    merged: dict[str, _Tally] = {}
-    for tallies in _map(_sweep_path_mask, work, jobs):
-        for tally in tallies:
-            merged.setdefault(tally.tag, _Tally(tally.tag)).merge(tally)
-    return tuple(tally.check() for tally in merged.values())
+    tallies = tuple(map(_Tally, (PATH_MIN_ONE, PATH_MIN_TWO_PLUS,
+                                 PATH_TOP_DISTANCE, PATH_ZERO_PENULTIMATE)))
+    _weighted_sweep(tallies, _classes(work, _path_class), work, _path_class,
+                    _sweep_path_mask, jobs)
+    return tuple(tally.check() for tally in tallies)
+
+
+def _path_class(key: tuple[int, int]) -> tuple:
+    """_forest_class of the (n, mask) path, a linear forest of one path."""
+    n, mask = key
+    return _forest_class(((n,), _mask_to_bits(mask, n - 1)))
+
+
+def _classes(keys: list, class_of: Callable) -> list[tuple]:
+    """(first key, number of keys) of each class_of class, in keys order."""
+    classes: dict = {}
+    for key in keys:
+        classes.setdefault(class_of(key), []).append(key)
+    return [(members[0], len(members)) for members in classes.values()]
+
+
+def _graph_class(g: OrientedGraph) -> int:
+    """The canonical code, which names g's isomorphism class."""
+    return _canonical_code(g.n, g.arcs)[0]
 
 
 def _weighted_sweep(
-    tally: _Tally,
-    classes: Iterable[tuple[OrientedGraph, int]],
-    labelled: Iterable[OrientedGraph],
-    check_graph: Callable[[OrientedGraph], _Tally | CharacterizationCheck],
+    tallies: tuple[_Tally, ...],
+    classes: list[tuple],
+    labelled: Iterable,
+    class_of: Callable,
+    check: Callable,
+    jobs: int = 1,
 ) -> None:
-    """Add check_graph over every labelled graph to tally, a class at a time.
+    """Add check over every labelled case to tallies, a class at a time.
 
-    check_graph runs on each (representative, orbit size) class, its
-    counts weighted by the orbit size.  The orbit of each representative
-    that turns up a counterexample is re-checked member by member, in the
-    order labelled lists them; for a check that relabelling preserves,
-    the counterexamples are then the ones a walk over labelled reports.
+    classes lists a (representative, size) pair per class, and class_of
+    names the class of any case.  check gives one result per tally, the
+    same counts for every case of a class.  The representatives are
+    checked through _map, their counts weighted by the class size.  A
+    class that turns up a counterexample is re-checked case by case, in
+    the order labelled lists them, so its counterexamples are the ones a
+    walk over labelled reports.
     """
     flagged = set()
-    for g, orbit in classes:
-        result = check_graph(g)
-        tally.checked += orbit * result.checked
-        tally.skipped += orbit * result.skipped
-        if result.counterexamples:
-            flagged.update(frozenset((p[u], p[v]) for u, v in g.arcs)
-                           for p in permutations(range(g.n)))
+    found = _map(check, [rep for rep, _ in classes], jobs)
+    for (rep, size), results in zip(classes, found):
+        if any(result.counterexamples for result in results):
+            flagged.add(class_of(rep))
+        else:
+            for tally, result in zip(tallies, results):
+                tally.merge(result, size)
     if flagged:
-        for g in labelled:
-            if g.arcs in flagged:
-                tally.counterexamples.extend(check_graph(g).counterexamples)
+        for case in labelled:
+            if class_of(case) in flagged:
+                for tally, result in zip(tallies, check(case)):
+                    tally.merge(result)
 
 
-def _check_tree(g: OrientedGraph) -> _Tally:
+def _check_tree(g: OrientedGraph) -> tuple[_Tally]:
     tally = _Tally(TREE_DEPTH_ONE)
     _check_predictions(g, [(tally, (1,), is_unidirectional_path(g))],
                        (g.n, tuple(sorted(g.arcs))))
-    return tally
+    return (tally,)
 
 
 def check_tree_characterization(n_max: int) -> CharacterizationCheck:
@@ -705,7 +735,8 @@ def check_tree_characterization(n_max: int) -> CharacterizationCheck:
     tally = _Tally(TREE_DEPTH_ONE)
     levels = _class_levels(n_max, _leaf_arcs)
     for n in range(2, n_max + 1):
-        _weighted_sweep(tally, levels[n - 1], enumerate_trees(n), _check_tree)
+        _weighted_sweep((tally,), levels[n - 1], enumerate_trees(n),
+                        _graph_class, _check_tree)
     return tally.check()
 
 
@@ -717,6 +748,27 @@ def _partitions(total: int, max_part: int | None = None) -> Iterator[tuple[int, 
     for first in range(cap, 0, -1):
         for rest in _partitions(total - first, first):
             yield (first,) + rest
+
+
+def _forest_class(key: tuple) -> tuple:
+    """Sorted (order, edge bits read from the lesser end) of each path."""
+    lengths, bits = key
+    edges = iter(bits)
+    return tuple(sorted((n, min(part, tuple(1 - b for b in part[::-1])))
+                        for n in lengths
+                        for part in [tuple(islice(edges, n - 1))]))
+
+
+def _sweep_forest(key: tuple) -> tuple[_Tally, _Tally]:
+    """Families 1 and 2 on one explicitly oriented linear forest."""
+    lengths, bits = key
+    fam1, fam2 = _Tally(FOREST_MIN_ONE_MULTI), _Tally(FOREST_MIN_TWO_PLUS)
+    extras = list(_powerset(range(2, lengths[-1])))
+    _check_predictions(
+        build_forest(LinearForestSpec.from_lengths(lengths, EXPLICIT, bits)),
+        chain(((fam1, (1,) + extra, False) for extra in extras),
+              ((fam2, ds, False) for ds in extras if ds)), key)
+    return fam1, fam2
 
 
 def check_forest_lemmas(
@@ -737,31 +789,25 @@ def check_forest_lemmas(
       D = {0, order - 1}: antimagic exactly when the copies are one-way
       (any other uniform orientation cannot even pose the question, so
       those rows count as skipped)
+
+    Families 1 and 2 search one forest per class up to reading a path
+    from its other end and swapping equal paths; see _weighted_sweep.
     """
     require_int("forest sweep total order", max_total_order, 2, 8)
+    shapes = [tuple(sorted(parts))
+              for total in range(2, max_total_order + 1)
+              for parts in _partitions(total) if len(parts) > 1]
+    keys = [(lengths, _mask_to_bits(mask, edges)) for lengths in shapes
+            for edges in [sum(lengths) - len(lengths)]
+            for mask in range(2 ** edges)]
     fam1, fam2, fam3, fam4, fam5 = (_Tally(tag) for tag in (
         FOREST_MIN_ONE_MULTI, FOREST_MIN_TWO_PLUS, FOREST_COPIES_MIN_ZERO,
         FOREST_MIXED_ZERO_ONE, FOREST_UNIFORM_ZERO_TOP))
-    for total in range(2, max_total_order + 1):
-        for parts in _partitions(total):
-            if len(parts) < 2:
-                continue
-            lengths = tuple(sorted(parts))
-            edges = total - len(parts)
-            top = parts[0]
-            for mask in range(2 ** edges):
-                bits = _mask_to_bits(mask, edges)
-                g = build_forest(
-                    LinearForestSpec.from_lengths(lengths, EXPLICIT, bits))
-                _check_predictions(g, chain(
-                    ((fam1, (1,) + extra, False)
-                     for extra in _powerset(range(2, top))),
-                    ((fam2, ds, False)
-                     for ds in _powerset(range(2, top)) if ds),
-                ), (lengths, bits))
-                if mask == 0:  # all-zero bits build the phi forest
-                    _check_predictions(g, [(fam4, (0, 1), True)],
-                                       (lengths, "tail-to-head"))
+    _weighted_sweep((fam1, fam2), _classes(keys, _forest_class), keys,
+                    _forest_class, _sweep_forest)
+    for lengths in shapes:  # the phi forest: every edge bit 0
+        _check_predictions(build_forest(LinearForestSpec.from_lengths(lengths)),
+                           [(fam4, (0, 1), True)], (lengths, "tail-to-head"))
 
     for n in range(2, max_total_order + 1):
         for m in range(2, max_total_order // n + 1):
@@ -877,8 +923,8 @@ def _class_sweep(
     classes = [(g, orbit) for g, orbit in _class_levels(order, _any_arcs)[-1]
                if is_strongly_connected(g)]
     tally = _Tally(tag)
-    _weighted_sweep(tally, classes, enumerate_oriented_graphs(order),
-                    check_graph)
+    _weighted_sweep((tally,), classes, enumerate_oriented_graphs(order),
+                    _graph_class, lambda g: (check_graph(g),))
     return tally.check(swept=sum(orbit for _, orbit in classes))
 
 

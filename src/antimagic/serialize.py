@@ -16,13 +16,9 @@ from typing import Any, Sequence
 from .constructions import ConstructionResult
 from .digraph import OrientedGraph
 from .errors import InvalidParameterError, is_int, require_int
+from .generators import MAX_ORDER as MAX_FILE_ORDER
 from .labeling import check_labeling, weight_profile
 from .search import CharacterizationCheck, SearchReport
-
-# the most vertices or labels a file may hold, checked before anything
-# is built from it: verify weighs every vertex off its BFS ball, or off
-# its directed runs in a linear forest, and export writes it a DOT line
-MAX_FILE_ORDER = 10_000
 
 
 def graph_to_dict(g: OrientedGraph) -> dict[str, Any]:

@@ -34,17 +34,21 @@ one labeling.check_duality per distance set and labeling, each paying
 for its own distance matrix and neighborhood tables.
 
 The labelled-graph sweeps at the end are the one exception: they run
-the package's own per-graph kernels on every labelled graph or tree,
-the slow path that the isomorphism-class sweeps of antimagic.search
-replace.  They look each kernel up on antimagic.search (the necessary
-condition on antimagic.labeling) at call time, so a test that
-monkeypatches a kernel changes both paths alike.
+the package's own per-graph kernels on every labelled graph, tree,
+oriented path or linear forest, the slow path that the
+isomorphism-class sweeps of antimagic.search replace.  The path and
+forest sweeps are the labelled loops of check_path_characterizations
+and check_forest_lemmas from before those ran one graph per class, kept
+word for word but for the search. prefixes.  They look each kernel up
+on antimagic.search (the necessary condition on antimagic.labeling) at
+call time, so a test that monkeypatches a kernel changes both paths
+alike.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations, islice, permutations, product
+from itertools import chain, combinations, islice, permutations, product
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -59,10 +63,22 @@ from antimagic import (
     search,
     validate_distance_set,
 )
+from antimagic.generators import (
+    EXPLICIT,
+    LinearForestSpec,
+    _mask_to_bits,
+    build_forest,
+    mpn_spec,
+)
 from antimagic.search import (
     ABORTED_BUDGET,
     COMPLEMENT_DUALITY,
     EXHAUSTED_NONE,
+    FOREST_COPIES_MIN_ZERO,
+    FOREST_MIN_ONE_MULTI,
+    FOREST_MIN_TWO_PLUS,
+    FOREST_MIXED_ZERO_ONE,
+    FOREST_UNIFORM_ZERO_TOP,
     FOUND,
     MAGIC_WINDOW,
     TREE_DEPTH_ONE,
@@ -427,3 +443,64 @@ def check_tree_characterization(n_max: int) -> CharacterizationCheck:
                 g, [(tally, (1,), search.is_unidirectional_path(g))],
                 (n, tuple(sorted(g.arcs))))
     return tally.check()
+
+
+def check_path_characterizations(
+    n_max: int,
+    *,
+    jobs: int = 1,
+) -> tuple[CharacterizationCheck, ...]:
+    require_int("path sweep order", n_max, 3, 7)
+    work = [(n, mask)
+            for n in range(3, n_max + 1)
+            for mask in range(2 ** (n - 1))]
+    merged: dict[str, search._Tally] = {}
+    for tallies in search._map(search._sweep_path_mask, work, jobs):
+        for tally in tallies:
+            merged.setdefault(tally.tag, search._Tally(tally.tag)).merge(tally)
+    return tuple(tally.check() for tally in merged.values())
+
+
+def check_forest_lemmas(
+    max_total_order: int = 6,
+) -> tuple[CharacterizationCheck, ...]:
+    require_int("forest sweep total order", max_total_order, 2, 8)
+    fam1, fam2, fam3, fam4, fam5 = (search._Tally(tag) for tag in (
+        FOREST_MIN_ONE_MULTI, FOREST_MIN_TWO_PLUS, FOREST_COPIES_MIN_ZERO,
+        FOREST_MIXED_ZERO_ONE, FOREST_UNIFORM_ZERO_TOP))
+    for total in range(2, max_total_order + 1):
+        for parts in search._partitions(total):
+            if len(parts) < 2:
+                continue
+            lengths = tuple(sorted(parts))
+            edges = total - len(parts)
+            top = parts[0]
+            for mask in range(2 ** edges):
+                bits = _mask_to_bits(mask, edges)
+                g = build_forest(
+                    LinearForestSpec.from_lengths(lengths, EXPLICIT, bits))
+                search._check_predictions(g, chain(
+                    ((fam1, (1,) + extra, False)
+                     for extra in search._powerset(range(2, top))),
+                    ((fam2, ds, False)
+                     for ds in search._powerset(range(2, top)) if ds),
+                ), (lengths, bits))
+                if mask == 0:  # all-zero bits build the phi forest
+                    search._check_predictions(g, [(fam4, (0, 1), True)],
+                                              (lengths, "tail-to-head"))
+
+    for n in range(2, max_total_order + 1):
+        for m in range(2, max_total_order // n + 1):
+            search._check_predictions(
+                build_forest(mpn_spec(m, n)),
+                ((fam3, (0,) + extra, True)
+                 for extra in search._powerset(range(1, n))),
+                ((m, n), "tail-to-head"))
+            for copy_mask in range(2 ** (n - 1)):
+                copy_bits = _mask_to_bits(copy_mask, n - 1)
+                search._check_predictions(
+                    build_forest(mpn_spec(m, n, EXPLICIT, copy_bits * m)),
+                    [(fam5, (0, n - 1), copy_mask in (0, 2 ** (n - 1) - 1))],
+                    ((m, n), copy_bits))
+
+    return tuple(tally.check() for tally in (fam1, fam2, fam3, fam4, fam5))

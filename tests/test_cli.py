@@ -9,6 +9,7 @@ import pytest
 from antimagic import (
     OrientedGraph,
     build_cycle,
+    generators,
     serialize,
     canonical_json,
     graph_to_dict,
@@ -421,6 +422,30 @@ def _assert_one_short_error_line(code, captured):
         "forest-spec"])
 def test_long_inputs_echo_a_bounded_error_line(argv, capsys):
     _assert_one_short_error_line(main(argv), capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "uni-path", "--n", "10001", "--D", "1"],
+    ["--family", "theta-prime", "--n", "10001", "--D", "0,9999"],
+    ["--family", "theta-double-prime", "--n", "10001", "--D", "0,9999"],
+    ["--family", "mpn", "--m", "1", "--n", "10001", "--k", "1"],
+    ["--family", "mpn", "--m", "2", "--n", "5001", "--D", "0"],
+    ["--family", "forest", "--spec", "1x10001"],
+    ["--family", "forest", "--spec", "2x3,1x9995"],
+    ["--family", "uni-path", "--n", "9" * 20, "--D", "1"],
+    ["--family", "mpn", "--m", "9" * 20, "--n", "2", "--k", "1"],
+    ["--family", "forest", "--spec", "9" * 20 + "x1"],
+    ["--family", "forest", "--spec", "1x" + "9" * 20],
+], ids=["uni-path", "theta-prime", "theta-double-prime", "mpn-k", "mpn-D",
+        "forest", "forest-mixed", "uni-path-20-digits", "mpn-20-digits",
+        "forest-copies-20-digits", "forest-order-20-digits"])
+def test_construct_refuses_more_than_the_order_cap(argv, capsys):
+    _assert_one_short_error_line(main(["construct", *argv]),
+                                 capsys.readouterr())
+
+
+def test_construct_and_verify_share_one_order_cap():
+    assert serialize.MAX_FILE_ORDER is generators.MAX_ORDER == 10_000
 
 
 @pytest.mark.parametrize("arc", [[1, "x" * 5000], [1, 10 ** 3999]])

@@ -33,6 +33,7 @@ from antimagic import (
     check_path_characterizations,
     check_tree_characterization,
     check_union_counterexample,
+    classify_path_orientation,
     duality_sweep,
     duality_sweep_graph,
     enumerate_oriented_graphs,
@@ -178,12 +179,13 @@ def test_each_worker_gets_one_contiguous_chunk(monkeypatch):
     monkeypatch.setattr(search, "ProcessPoolExecutor", make)
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
-    # orders 3..5 give 4 + 8 + 16 path orientations, one task each
+    # orders 3..5 give 3 + 4 + 10 path orientations up to reading a path
+    # from its other end, one task each
     assert check_path_characterizations(5, jobs=2) == \
         check_path_characterizations(5)
     exhaustive_labeling_search(build_cycle(4), (0, 2), jobs=2,
                                use_pruning=False)
-    assert [pool.chunksize for pool in pools] == [14, 1]
+    assert [pool.chunksize for pool in pools] == [9, 1]
 
 
 class _BrokenPool(_InlinePool):
@@ -721,6 +723,62 @@ def test_path_characterizations_order_guard():
         check_path_characterizations(8)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("n_max", range(3, 8))
+def test_path_characterizations_match_the_labelled_path_sweep(n_max, jobs):
+    assert check_path_characterizations(n_max, jobs=jobs) == \
+        oracles.check_path_characterizations(n_max, jobs=jobs)
+
+
+def _read_backwards(n, mask):
+    """The orientation mask of the n-path numbered from its other end."""
+    width = n - 1
+    return int(format(mask, f"0{width}b")[::-1], 2) ^ ((1 << width) - 1)
+
+
+def _same_partition(items, key_a, key_b):
+    pairs = {(key_a(item), key_b(item)) for item in items}
+    return len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_a_path_read_backwards_keeps_its_class_and_kind(n):
+    masks = range(2 ** (n - 1))
+    for mask in masks:
+        g, h = build_path(n, mask), build_path(n, _read_backwards(n, mask))
+        assert search._canonical_code(n, g.arcs) == \
+            search._canonical_code(n, h.arcs)
+        assert classify_path_orientation(g) == classify_path_orientation(h)
+    # the sweep's class key splits the orientations as the code does
+    assert _same_partition(
+        masks, lambda mask: search._forest_class(
+            ((n,), search._mask_to_bits(mask, n - 1))),
+        lambda mask: search._canonical_code(n, build_path(n, mask).arcs))
+
+
+def _labelled_forests(max_total_order):
+    """(lengths, bits) of every forest the forest sweep covers, in its order."""
+    for total in range(2, max_total_order + 1):
+        for parts in search._partitions(total):
+            if len(parts) > 1:
+                lengths = tuple(sorted(parts))
+                edges = total - len(parts)
+                for mask in range(2 ** edges):
+                    yield lengths, search._mask_to_bits(mask, edges)
+
+
+def test_forest_classes_are_the_isomorphism_classes():
+    keys = list(_labelled_forests(8))
+
+    def code(key):
+        g = build_forest(LinearForestSpec.from_lengths(key[0], EXPLICIT, key[1]))
+        return search._canonical_code(g.n, g.arcs)
+
+    assert len(keys) == 851
+    assert len({search._forest_class(key) for key in keys}) == 309
+    assert _same_partition(keys, search._forest_class, code)
+
+
 def test_tree_characterization_frozen_counts():
     check = check_tree_characterization(4)
     assert check.agree
@@ -833,6 +891,52 @@ def test_forest_lemmas_frozen_counts():
     for tag, (swept, checked, skipped) in expected.items():
         assert (rows[tag].swept, rows[tag].checked,
                 rows[tag].skipped) == (swept, checked, skipped)
+
+
+@pytest.mark.parametrize("total", range(2, 9))
+def test_forest_lemmas_match_the_labelled_forest_sweep(total):
+    assert check_forest_lemmas(total) == oracles.check_forest_lemmas(total)
+
+
+def _flip_verdicts_on_odd_arc_heads(monkeypatch):
+    # the number of arc heads is a property of the class, and about half
+    # the path and forest classes have an odd one
+    real = search.exhaustive_labeling_search
+
+    def flipped(g, *args, **kwargs):
+        report = real(g, *args, **kwargs)
+        if len({v for _, v in g.arcs}) % 2 == 0:
+            return report
+        return replace(report,
+                       outcome=EXHAUSTED_NONE if report.found else FOUND)
+
+    monkeypatch.setattr(search, "exhaustive_labeling_search", flipped)
+
+
+def _assert_same_records(fast, slow):
+    for got, expected in zip(fast, slow):
+        assert got.counterexamples == expected.counterexamples
+    assert fast == slow
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_path_counterexamples_match_the_labelled_path_sweep(monkeypatch, jobs):
+    # a wrong kind for every path flags the classes of the one-way and
+    # theta paths; the one-way pair lies at either end of each order's masks
+    monkeypatch.setattr(search, "classify_path_orientation", lambda g: "other")
+    fast = check_path_characterizations(6, jobs=jobs)
+    assert [len(c.counterexamples) for c in fast] == [60, 0, 90, 88]
+    _assert_same_records(fast, oracles.check_path_characterizations(6, jobs=jobs))
+    _flip_verdicts_on_odd_arc_heads(monkeypatch)
+    _assert_same_records(check_path_characterizations(6, jobs=jobs),
+                         oracles.check_path_characterizations(6, jobs=jobs))
+
+
+def test_forest_counterexamples_match_the_labelled_forest_sweep(monkeypatch):
+    _flip_verdicts_on_odd_arc_heads(monkeypatch)
+    fast = check_forest_lemmas(7)
+    assert all(c.counterexamples for c in fast)
+    _assert_same_records(fast, oracles.check_forest_lemmas(7))
 
 
 def test_forest_lemmas_order_guard():
