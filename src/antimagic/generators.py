@@ -38,10 +38,10 @@ PHI = "phi"
 EXPLICIT = "explicit"
 
 MAX_TREE_ORDER = 8
-# the most vertices a construction builds or a graph or labeling file
-# holds, checked before anything is built: verify weighs every vertex
-# off its BFS ball, or off its directed runs in a linear forest, and
-# export writes it a DOT line
+# the most vertices build_path, build_cycle or a construction builds, or
+# a graph or labeling file holds, checked before anything is built:
+# verify weighs every vertex off its BFS ball, or off its directed runs
+# in a linear forest, and export writes it a DOT line
 MAX_ORDER = 10_000
 
 _FOREST_ORIENTATIONS = (FORWARD, PHI, EXPLICIT)
@@ -74,7 +74,7 @@ def build_path(n: int, orientation: int | str = FORWARD) -> OrientedGraph:
     "theta-double-prime" (both need n >= 3), or an edge-direction bitmask
     given as an int or a binary string of exactly n-1 digits.
     """
-    require_int("path order", n, lo=1)
+    require_int("path order", n, 1, MAX_ORDER)
     if orientation == FORWARD:
         bits: tuple[int, ...] = (1,) * (n - 1)
     elif isinstance(orientation, str) and orientation in _THETA_BITS:
@@ -88,7 +88,7 @@ def build_path(n: int, orientation: int | str = FORWARD) -> OrientedGraph:
 
 def build_cycle(n: int) -> OrientedGraph:
     """One-way cycle 0 -> 1 -> ... -> n-1 -> 0; needs n >= 3 to stay oriented."""
-    require_int("cycle order", n, lo=3)
+    require_int("cycle order", n, 3, MAX_ORDER)
     return OrientedGraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 

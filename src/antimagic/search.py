@@ -457,10 +457,15 @@ def _class_levels(
     Entry k - 1 holds order k: a new vertex k - 1 joins each class
     representative of order k - 1 through each arc set new_arcs(k - 1)
     offers, and the first graph of each canonical code is kept, with
-    orbit size k!/|Aut|.  Every graph is a smaller one plus its last
-    vertex, so _any_arcs gives every oriented graph and _leaf_arcs every
-    oriented tree (vertex extension: Read 1978; McKay, "Isomorph-free
-    exhaustive generation", J. Algorithms 1998).
+    orbit size k!/|Aut|.  A child is coded only when its new vertex has
+    the largest deletion key (-(out + in), out): least total degree,
+    then most out-arcs.  Every graph is a smaller one plus a vertex of
+    largest key, so _any_arcs gives every oriented graph; in a tree of
+    order >= 2 the vertices of least degree are its leaves, and deleting
+    one leaves a tree, so _leaf_arcs gives every oriented tree (vertex
+    extension: Read 1978; McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 1998).  Siblings can still be isomorphic; the codes
+    merge them.
     """
     levels = [[(OrientedGraph(1, ()), 1)]]
     for k in range(2, n + 1):
@@ -468,6 +473,13 @@ def _class_levels(
         for rep, _ in levels[-1]:
             for extra in new_arcs(k - 1):
                 arcs = (*rep.arcs, *extra)
+                out, inc = [0] * k, [0] * k
+                for u, v in arcs:
+                    out[u] += 1
+                    inc[v] += 1
+                keys = [(-o - i, o) for o, i in zip(out, inc)]
+                if keys[-1] < max(keys):
+                    continue
                 code, automorphisms = _canonical_code(k, arcs)
                 if code not in level:
                     level[code] = (OrientedGraph(k, arcs),

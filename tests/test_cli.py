@@ -444,6 +444,21 @@ def test_construct_refuses_more_than_the_order_cap(argv, capsys):
                                  capsys.readouterr())
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--path", "10001", "--D", "1"],
+    ["search", "--cycle", "10001", "--D", "1"],
+    ["sweep", "duality", "--cycle", "10001"],
+    ["search", "--cycle", "3000000", "--D", "1", "--budget", "5"],
+    ["search", "--path", "9" * 20, "--D", "1"],
+    ["search", "--cycle", "9" * 20, "--D", "1"],
+    ["sweep", "duality", "--cycle", "9" * 20],
+], ids=["path", "cycle", "duality-cycle", "cycle-budget", "path-20-digits",
+        "cycle-20-digits", "duality-cycle-20-digits"])
+def test_search_and_duality_refuse_more_than_the_order_cap(argv, capsys):
+    # refused before the graph is built, so none of these runs a search
+    _assert_one_short_error_line(main(argv), capsys.readouterr())
+
+
 def test_construct_and_verify_share_one_order_cap():
     assert serialize.MAX_FILE_ORDER is generators.MAX_ORDER == 10_000
 

@@ -20,6 +20,7 @@ from antimagic import (
     parse_forest_spec,
     weak_components,
 )
+from antimagic.generators import MAX_ORDER
 
 
 # ---- paths and cycles ----
@@ -81,6 +82,14 @@ def test_cycle():
     assert build_cycle(3).arcs == frozenset({(0, 1), (1, 2), (2, 0)})
     with pytest.raises(InvalidParameterError):
         build_cycle(2)
+
+
+@pytest.mark.parametrize("build", [build_path, build_cycle])
+def test_paths_and_cycles_stop_at_the_order_cap(build):
+    assert build(MAX_ORDER).n == MAX_ORDER
+    for n in (MAX_ORDER + 1, 10 ** 20):
+        with pytest.raises(InvalidParameterError, match="from"):
+            build(n)
 
 
 def test_enumerate_path_orientations():

@@ -558,7 +558,7 @@ def test_canonical_code_survives_relabelling(data):
 
 
 # oriented trees up to isomorphism (OEIS A000238)
-TREE_CLASS_COUNTS = {1: 1, 2: 1, 3: 3, 4: 8, 5: 27, 6: 91}
+TREE_CLASS_COUNTS = {1: 1, 2: 1, 3: 3, 4: 8, 5: 27, 6: 91, 7: 350}
 
 
 def is_tree(g):
@@ -588,6 +588,25 @@ def test_tree_class_orbits_partition_the_labelled_trees(n):
     oracle = ((g, len(orbit)) for g, orbit in oracles.isomorphism_classes(n)
               if is_tree(g))
     assert code_orbits(n, oracle) == orbits
+
+
+@pytest.mark.parametrize("n, new_arcs, calls, cap", [
+    # coding every child, with no key check, takes 3612 and 358 calls
+    (5, search._any_arcs, 898, 3612 // 3),
+    (6, search._leaf_arcs, 234, 358 - 1),
+])
+def test_class_levels_code_only_children_of_largest_deletion_key(
+        monkeypatch, n, new_arcs, calls, cap):
+    coded = []
+    canonical_code = search._canonical_code
+
+    def counting(k, arcs):
+        coded.append(k)
+        return canonical_code(k, arcs)
+
+    monkeypatch.setattr(search, "_canonical_code", counting)
+    search._class_levels(n, new_arcs)
+    assert len(coded) == calls <= cap
 
 
 def test_magic_graph_hunt_finds_a_frozen_witness():
