@@ -49,7 +49,10 @@ from .serialize import (
     write_text,
 )
 
-_FAMILIES = ("uni-path", "theta-prime", "theta-double-prime", "mpn", "forest")
+_PATH_FAMILIES = {"uni-path": label_unidirectional_path,
+                  "theta-prime": label_theta_prime,
+                  "theta-double-prime": label_theta_double_prime}
+_FAMILIES = (*_PATH_FAMILIES, "mpn", "forest")
 _SWEEPS = ("path-characterizations", "tree-characterization", "forest-lemmas",
            "duality", "union-counterexample", "neighborhood-survey",
            "magic-bounds")
@@ -105,18 +108,10 @@ def _print_report(report: SearchReport) -> None:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     d = _parse_distance_set(args.d_text) if args.d_text else None
-    if args.family == "uni-path":
+    if args.family in _PATH_FAMILIES:
         if args.n is None or d is None:
-            raise InvalidParameterError("uni-path needs --n and --D")
-        result = label_unidirectional_path(args.n, d)
-    elif args.family == "theta-prime":
-        if args.n is None or d is None:
-            raise InvalidParameterError("theta-prime needs --n and --D")
-        result = label_theta_prime(args.n, d)
-    elif args.family == "theta-double-prime":
-        if args.n is None or d is None:
-            raise InvalidParameterError("theta-double-prime needs --n and --D")
-        result = label_theta_double_prime(args.n, d)
+            raise InvalidParameterError(f"{args.family} needs --n and --D")
+        result = _PATH_FAMILIES[args.family](args.n, d)
     elif args.family == "mpn":
         if args.m is None or args.n is None:
             raise InvalidParameterError("mpn needs --m and --n")

@@ -127,7 +127,7 @@ def _mpn_labels(m: int, n: int) -> list[int]:
 def label_mpn(m: int, n: int, k: int) -> ConstructionResult:
     """{0, k}-antimagic labeling of m phi-oriented copies of the n-path."""
     require_int("copy count", m, lo=1)
-    require_int("path order", n, lo=1)
+    require_int("path order", n, lo=2)
     _require_order(m * n)
     require_int("k", k, 1, n - 1)
     graph = build_forest(mpn_spec(m, n))

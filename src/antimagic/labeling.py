@@ -10,8 +10,8 @@ weights differ and D-magic when they all agree.
 D and its complement D* inside {0..partial diameter} split the finite
 entries of each distance row, so the two weights of v add up to the
 labels v reaches: n(n+1)/2 exactly when the row holds no None.
-check_duality checks that identity and its corollaries from two
-neighborhood tables; search.duality_sweep_graph decides them by row.
+check_duality checks the identity and its corollaries for one labeling;
+search.duality_sweep_graph decides them for all labelings by BFS balls.
 """
 
 from __future__ import annotations

@@ -65,6 +65,7 @@ from .digraph import (
     UNIDIRECTIONAL,
     DistanceMatrix,
     OrientedGraph,
+    _balls,
     all_pairs_distances,
     classify_path_orientation,
     is_strongly_connected,
@@ -87,7 +88,7 @@ from .generators import (
     enumerate_trees,
     mpn_spec,
 )
-from .labeling import check_labeling, neighborhood_table
+from .labeling import neighborhood_table
 
 FOUND = "found"
 EXHAUSTED_NONE = "exhausted-none"
@@ -97,6 +98,7 @@ MAX_EXHAUSTIVE_ORDER = 10
 MAX_MAGIC_ORDER = 8
 MAX_GRAPH_HUNT_ORDER = 5
 MAX_DUALITY_ORDER = 4
+MAX_DUALITY_TRIALS = 10**12
 MAX_SURVEY_ORDER = 4
 
 PATH_MIN_ONE = "path-min-1"
@@ -891,34 +893,32 @@ def duality_sweep_graph(
     """Check the complement identity on one strongly connected graph.
 
     Every proper non-empty D with non-empty complement D* is paired with
-    every labeling (all of them, or trials random ones).  Whatever D is,
-    the weights of v under D and D* add up to the labels v reaches.  If
-    no distance row holds None, that is the label total for every v, so
-    the antimagic and magic verdicts agree and magic constants are dual:
-    each labeling is only validated.  If a row is short, labels are at
-    least 1, so every (D, labeling) pair is a counterexample, listed D by
-    D in _proper_subsets order.
+    every labeling (all of them, or trials random ones).  The weights of
+    v under D and D* add up to the labels v reaches: n(n+1)/2 when v's
+    BFS ball holds all n vertices.  If every ball does, the identity and
+    its corollaries hold under every labeling, and none is drawn.  If a
+    ball is short, labels are at least 1, so every (D, labeling) pair is
+    a counterexample, listed D by D in _proper_subsets order.
     """
     if trials is None and g.n > 6:
         raise InvalidParameterError(
             "exhaustive duality checks are capped at order 6; pass trials=")
     if trials is not None:
-        require_int("trials", trials, lo=1)
+        require_int("trials", trials, 1, MAX_DUALITY_TRIALS)
     if not is_strongly_connected(g):
         raise TheoremPreconditionError(
             "duality needs a strongly connected graph")
-    dm = all_pairs_distances(g)
-    full = all(None not in row for row in dm.rows)
-    sample = []
-    for count, labels in enumerate(_label_iter(g.n, trials, seed), 1):
-        check_labeling(labels, g.n)
-        if not full:
-            sample.append(labels)
+    sizes, depths = zip(*((len(ball), dist[ball[-1]])
+                          for ball, dist in _balls(g, range(g.n))))
+    top = max(depths)
+    count = factorial(g.n) if trials is None else trials
+    full = min(sizes) == g.n
+    sample = () if full else tuple(_label_iter(g.n, trials, seed))
     arcs = tuple(sorted(g.arcs))
     return CharacterizationCheck(
-        COMPLEMENT_DUALITY, 1, count * ((2 << dm.partial_diameter) - 2), 0,
+        COMPLEMENT_DUALITY, 1, count * ((2 << top) - 2), 0,
         () if full else tuple((arcs, ds, labels)
-                              for ds in _proper_subsets(dm.partial_diameter)
+                              for ds in _proper_subsets(top)
                               for labels in sample))
 
 
@@ -955,7 +955,7 @@ def duality_sweep(
     """
     require_int("duality sweep order", order, 2, MAX_DUALITY_ORDER)
     if trials is not None:
-        require_int("trials", trials, lo=1)
+        require_int("trials", trials, 1, MAX_DUALITY_TRIALS)
     return _class_sweep(
         order, COMPLEMENT_DUALITY,
         lambda g: duality_sweep_graph(g, trials=trials, seed=seed))

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antimagic import (
     OrientedGraph,
@@ -16,6 +22,8 @@ from antimagic import (
     labels_to_dict,
 )
 from antimagic.cli import main
+from antimagic.search import MAX_DUALITY_TRIALS
+from strategies import oriented_graphs
 
 
 def write_graph(tmp_path, g, name="graph.json"):
@@ -535,3 +543,181 @@ def test_help_exits_zero(capsys):
 def test_no_arguments_is_a_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("target", [["--cycle", "9"], ["--order", "3"]])
+def test_sweep_duality_trials_at_the_cap(target, capsys):
+    code = main(["sweep", "duality", *target,
+                 "--trials", str(MAX_DUALITY_TRIALS)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.splitlines()[1].endswith("ok")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("target", [["--cycle", "9"], ["--order", "3"]])
+@pytest.mark.parametrize("trials", [MAX_DUALITY_TRIALS + 1, 10 ** 4298])
+def test_sweep_duality_refuses_trials_beyond_the_cap(target, trials, capsys):
+    _assert_one_short_error_line(
+        main(["sweep", "duality", *target, "--trials", str(trials)]),
+        capsys.readouterr())
+
+
+def test_construct_mpn_needs_two_vertices_per_copy(capsys):
+    code = main(["construct", "--family", "mpn", "--m", "1", "--n", "1",
+                 "--k", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: path order must be an integer >= 2, got 1\n"
+
+
+# ---- fuzzing the grammar ----
+
+# Each case's work is bounded: --jobs is never above 1, so no pool starts;
+# search always has a budget of at most 1000 and --cycle and --path stay
+# at most 60; construct and file orders stay below the 10 000-vertex cap,
+# which pinned tests cover, and no order-5 magic hunt (up to 0.5 s) runs.
+_GARBAGE = st.sampled_from(["", "x", "1.5", "0x10", "1e3", "-", "9" * 5000])
+_JOBS = st.sampled_from(["1", "1", "1", "0", "-1"])
+
+
+def _numbers(*values):
+    """Mostly small numbers, sometimes a cap or beyond it, sometimes text."""
+    return st.integers(0, 7).flatmap(lambda pick: (
+        st.integers(-2, 8).map(str) if pick < 5 else
+        st.sampled_from([str(v) for v in values]) if pick < 7 else _GARBAGE))
+
+
+_DISTANCE_SETS = st.sampled_from([
+    "0", "1", "2", "0,1", "1,2", "0, 2", "{0,1}", "1 3", "0,1,2,3", "",
+    "{}", "1,,2", "-1", "a", "0,x", "9999", "1" + "0" * 4999])
+_ORIENTATIONS = st.sampled_from([
+    "forward", "theta-prime", "theta-double-prime", "0b101", "0b", "0b12",
+    "0b" + "1" * 70, "5", "-1", "backward", "x" * 5000, "9" * 5000])
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 8), st.floats(allow_nan=True),
+    st.text(max_size=4), st.sampled_from([10 ** 40, 10 ** 4000]))
+_JSON = st.recursive(
+    _JSON_LEAVES, lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["n", "arcs", "labels"]), kids,
+                      max_size=3), max_leaves=8)
+# bodies no JSON document encodes to: deep nesting, an integer past the
+# 4300-digit parse limit, non-UTF-8 bytes and nothing at all
+_RAW_BODIES = st.sampled_from([
+    b"[" * 100_000, b'{"n": ' + b"9" * 5000 + b', "arcs": []}',
+    b'{"labels": [' + b"9" * 5000 + b"]}",
+    b'{"n": 3, "arcs": [[1, 2]]}\xff\xfe', b"\xff\xfe\x00", b""])
+
+
+@st.composite
+def _file_bodies(draw):
+    """A graph file and a labeling file: a valid pair, or either one broken."""
+    g = draw(oriented_graphs(1, 6))
+    graph = graph_to_dict(g)
+    labels = labels_to_dict(draw(st.permutations(range(1, g.n + 1))))
+    if draw(st.booleans()):
+        graph = draw(st.one_of(
+            st.fixed_dictionaries({
+                "n": st.one_of(st.integers(-1, 7), _JSON_LEAVES,
+                               st.sampled_from([10_001, 10 ** 30])),
+                "arcs": st.one_of(st.lists(st.lists(
+                    st.integers(-1, 7), min_size=1, max_size=3), max_size=6),
+                    _JSON)}),
+            _JSON))
+    if draw(st.booleans()):
+        labels = draw(st.one_of(
+            st.fixed_dictionaries({"labels": st.one_of(
+                st.lists(st.integers(-1, 7), max_size=7), _JSON)}), _JSON))
+    return _encode(draw, graph), _encode(draw, labels)
+
+
+def _encode(draw, doc):
+    if draw(st.integers(0, 3)):
+        return json.dumps(doc).encode()
+    return draw(_RAW_BODIES)
+
+
+def _flag(draw, name, values):
+    return [name, draw(values)] if draw(st.integers(0, 3)) else []
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(
+        ["construct", "verify", "search", "sweep", "export"]))
+    argv = [command]
+    if command == "construct":
+        argv += ["--family", draw(st.sampled_from(
+            ["uni-path", "theta-prime", "theta-double-prime", "mpn",
+             "forest"]))]
+        for name in ("--n", "--m", "--k"):
+            argv += _flag(draw, name, _numbers(10_001, 10 ** 20))
+        argv += _flag(draw, "--D", _DISTANCE_SETS)
+        argv += _flag(draw, "--spec", st.sampled_from(
+            ["2x3,1x5", "1x4", "3x2", "2x3,2x3", "0x3", "1x0", "x", "",
+             "1x10001", "9" * 30 + "x1", "1x" + "9" * 5000]))
+        if draw(st.booleans()):
+            argv.append("--dot")
+    elif command in ("verify", "export"):
+        argv += ["--graph", "graph.json"]
+        argv += _flag(draw, "--labeling", st.just("labels.json"))
+        argv += _flag(draw, "--D", _DISTANCE_SETS)
+        if command == "verify":
+            argv += [flag for flag in ("--clamp", "--magic")
+                     if draw(st.booleans())]
+        else:
+            argv += _flag(draw, "--format",
+                          st.sampled_from(["json", "dot", "png"]))
+    elif command == "search":
+        target = draw(st.sampled_from(["cycle", "path", "graph", "magic", ""]))
+        if target in ("cycle", "path"):
+            argv += [f"--{target}", draw(_numbers(60))]
+            argv += _flag(draw, "--orientation", _ORIENTATIONS)
+        elif target == "graph":
+            argv += ["--graph", "graph.json"]
+        elif target == "magic":
+            argv += ["--magic"]
+            argv += _flag(draw, "--order", st.one_of(st.sampled_from(
+                ["-1", "0", "1", "2", "3", "4", "6", str(10 ** 20)]), _GARBAGE))
+            argv += _flag(draw, "--lambda", _numbers(15, -(10 ** 20)))
+        argv += _flag(draw, "--D", _DISTANCE_SETS)
+        argv += ["--budget", draw(_numbers(1000))]
+        argv += ["--jobs", draw(_JOBS)]
+        if draw(st.booleans()):
+            argv.append("--no-prune")
+    else:
+        family = draw(st.sampled_from(
+            ["path-characterizations", "tree-characterization",
+             "forest-lemmas", "duality", "union-counterexample",
+             "neighborhood-survey", "magic-bounds"]))
+        argv.append(family)
+        argv += _flag(draw, "--n-max", _numbers(10 ** 20))
+        argv += _flag(draw, "--total", _numbers(9, 10 ** 20))
+        if family == "duality" and draw(st.booleans()):
+            argv += ["--cycle", draw(_numbers(60))]
+        else:
+            argv += _flag(draw, "--order", _numbers(10 ** 20))
+        argv += _flag(draw, "--trials", _numbers(
+            MAX_DUALITY_TRIALS, MAX_DUALITY_TRIALS + 1, 10 ** 4298))
+        argv += _flag(draw, "--seed", _numbers(10 ** 40, -(10 ** 40)))
+        argv += ["--jobs", draw(_JOBS)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv(), _file_bodies())
+def test_fuzzed_command_lines_end_cleanly(argv, bodies):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, body in zip(("graph.json", "labels.json"), bodies):
+            with open(os.path.join(tmp, name), "wb") as handle:
+                handle.write(body)
+        argv = [os.path.join(tmp, arg) if arg.endswith(".json") else arg
+                for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert sum("error:" in line
+                   for line in err.getvalue().splitlines()) == 1

@@ -47,9 +47,9 @@ from antimagic import (
     survey_neighborhood_sufficiency,
     weak_components,
 )
-from antimagic import labeling, search
+from antimagic import digraph, labeling, search
 from antimagic.cli import main
-from antimagic.search import _lex_rank, _split_range
+from antimagic.search import MAX_DUALITY_TRIALS, _lex_rank, _split_range
 from strategies import graphs_with_distance_sets, oriented_graphs
 
 
@@ -1003,9 +1003,8 @@ def test_duality_sweep_matches_the_labelled_graph_sweep(order, trials):
 
 
 def test_duality_sweep_work_bound(monkeypatch):
-    # one distance matrix per graph and one label check per labeling;
-    # the old kernel built two neighborhood tables per distance set and
-    # checked every labeling once per distance set (336 times here)
+    # full BFS balls decide all 336 pairs: no distance matrix, no
+    # neighborhood table and no labeling walk
     calls = Counter()
 
     def counted(name, real):
@@ -1015,13 +1014,14 @@ def test_duality_sweep_work_bound(monkeypatch):
         return wrapper
 
     for module, name in ((search, "all_pairs_distances"),
-                         (search, "check_labeling"),
+                         (digraph, "all_pairs_distances"),
                          (search, "neighborhood_table"),
-                         (labeling, "neighborhood_table")):
+                         (labeling, "neighborhood_table"),
+                         (labeling, "check_labeling")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     check = duality_sweep_graph(build_cycle(4))
     assert check.checked == 336
-    assert calls == {"all_pairs_distances": 1, "check_labeling": 24}
+    assert not calls
 
 
 def _duality_peak(g, trials):
@@ -1043,6 +1043,25 @@ def test_duality_sweep_memory_is_per_half_of_the_levels():
     # the kernel that built two tables per distance set peaked at 2.2 MB
     # here; one subset-sum table over all 14 levels would take about 8 MB
     assert _duality_peak(build_cycle(14), 2) < 500_000
+
+
+def test_duality_sweep_memory_does_not_grow_with_the_order():
+    # a full 500 x 500 distance matrix peaks at 6.0 MB; the BFS balls
+    # hold one ball and one row at a time
+    assert _duality_peak(build_cycle(500), 1) < 1_000_000
+
+
+def test_duality_sweep_takes_any_trials_up_to_the_cap_at_once():
+    # no labeling is drawn when every ball is full, so the sample size
+    # only scales the count
+    assert duality_sweep(3, trials=10 ** 11).checked == 12 * 10 ** 11
+    check = duality_sweep_graph(build_cycle(9), trials=MAX_DUALITY_TRIALS)
+    assert check.agree
+    assert check.checked == MAX_DUALITY_TRIALS * 510
+    with pytest.raises(InvalidParameterError, match="trials"):
+        duality_sweep_graph(build_cycle(9), trials=MAX_DUALITY_TRIALS + 1)
+    with pytest.raises(InvalidParameterError, match="trials"):
+        duality_sweep(3, trials=MAX_DUALITY_TRIALS + 1)
 
 
 def _strongly_connected(orders):
