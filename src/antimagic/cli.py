@@ -83,6 +83,14 @@ def _parse_orientation(text: str) -> int | str:
             f"got {reprlib.repr(text)}") from None
 
 
+def _int_flag(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {reprlib.repr(text)}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         write_text(out, text)
@@ -255,9 +263,9 @@ def _build_parser() -> argparse.ArgumentParser:
     con = sub.add_parser(
         "construct", help="build a labeling from one of the closed forms")
     con.add_argument("--family", required=True, choices=_FAMILIES)
-    con.add_argument("--n", type=int, help="path order")
-    con.add_argument("--m", type=int, help="copy count for mpn")
-    con.add_argument("--k", type=int, help="second distance for the mpn {0, k} form")
+    con.add_argument("--n", type=_int_flag, help="path order")
+    con.add_argument("--m", type=_int_flag, help="copy count for mpn")
+    con.add_argument("--k", type=_int_flag, help="second distance for the mpn {0, k} form")
     con.add_argument("--spec", help='forest shape, e.g. "2x3,1x5,1x7"')
     con.add_argument("--D", dest="d_text", help='distance set, e.g. "0,2"')
     con.add_argument("--out", help="write here instead of stdout")
@@ -277,21 +285,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sea = sub.add_parser("search", help="brute-force search for a labeling")
     target = sea.add_mutually_exclusive_group()
-    target.add_argument("--cycle", type=int, help="directed cycle of this order")
-    target.add_argument("--path", type=int, help="oriented path of this order")
+    target.add_argument("--cycle", type=_int_flag, help="directed cycle of this order")
+    target.add_argument("--path", type=_int_flag, help="oriented path of this order")
     target.add_argument("--graph", help="graph JSON file")
     target.add_argument("--magic", action="store_true",
                         help="hunt for a strongly connected magic graph instead")
     sea.add_argument("--orientation", default="forward",
                      help="path orientation: a name, a 0b mask, or an integer")
-    sea.add_argument("--order", type=int, help="graph order for --magic")
-    sea.add_argument("--lambda", dest="target_lambda", type=int,
+    sea.add_argument("--order", type=_int_flag, help="graph order for --magic")
+    sea.add_argument("--lambda", dest="target_lambda", type=_int_flag,
                      help="required magic constant for --magic")
     sea.add_argument("--D", dest="d_text", required=True)
-    sea.add_argument("--budget", type=int,
+    sea.add_argument("--budget", type=_int_flag,
                      help="scan at most this many labelings "
                           "(default: ANTIMAGIC_BUDGET if set)")
-    sea.add_argument("--jobs", type=int, default=1,
+    sea.add_argument("--jobs", type=_int_flag, default=1,
                      help="worker processes for the scan")
     sea.add_argument("--no-prune", action="store_true",
                      help="skip the equal-neighborhood shortcut")
@@ -299,18 +307,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     swp = sub.add_parser("sweep", help="re-check a theorem family by brute force")
     swp.add_argument("family", choices=_SWEEPS)
-    swp.add_argument("--n-max", dest="n_max", type=int,
+    swp.add_argument("--n-max", dest="n_max", type=_int_flag,
                      help="largest order for path/tree sweeps")
-    swp.add_argument("--total", type=int, default=6,
+    swp.add_argument("--total", type=_int_flag, default=6,
                      help="largest total order for forest-lemmas")
-    swp.add_argument("--order", type=int, default=3,
+    swp.add_argument("--order", type=_int_flag, default=3,
                      help="order for duality, magic-bounds, neighborhood-survey")
-    swp.add_argument("--cycle", type=int,
+    swp.add_argument("--cycle", type=_int_flag,
                      help="check duality on one directed cycle instead")
-    swp.add_argument("--trials", type=int,
+    swp.add_argument("--trials", type=_int_flag,
                      help="random labelings per case instead of all of them")
-    swp.add_argument("--seed", type=int, default=0)
-    swp.add_argument("--jobs", type=int, default=1)
+    swp.add_argument("--seed", type=_int_flag, default=0)
+    swp.add_argument("--jobs", type=_int_flag, default=1)
     swp.set_defaults(run=_cmd_sweep)
 
     exp = sub.add_parser("export", help="rewrite a graph file as JSON or DOT")

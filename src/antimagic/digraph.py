@@ -165,16 +165,6 @@ def all_pairs_distances(g: OrientedGraph) -> DistanceMatrix:
         tuple(dist) for _, dist in _balls(g, range(g.n))))
 
 
-def _resolve_dm(g: OrientedGraph, dm: DistanceMatrix | None) -> DistanceMatrix:
-    """dm when given and sized for g, else the distances of g computed now."""
-    if dm is None:
-        return all_pairs_distances(g)
-    if dm.n != g.n:
-        raise InvalidParameterError(
-            f"distance matrix is {dm.n}x{dm.n} but the graph has {g.n} vertices")
-    return dm
-
-
 def partial_diameter(g: OrientedGraph) -> int:
     return max(dist[ball[-1]] for ball, dist in _balls(g, range(g.n)))
 

@@ -26,8 +26,6 @@ from .digraph import (
     OrientedGraph,
     _balls,
     _bound_distance_set,
-    _resolve_dm,
-    all_pairs_distances,
     is_strongly_connected,
     normalize_distance_set,
     partial_diameter,
@@ -111,7 +109,9 @@ def neighborhood_table(
     """d_neighborhood for every vertex at once."""
     if dm is None:
         return tuple(_ball_rows(g, d_set, False, _row))
-    dm = _resolve_dm(g, dm)
+    if dm.n != g.n:
+        raise InvalidParameterError(
+            f"distance matrix is {dm.n}x{dm.n} but the graph has {g.n} vertices")
     ds = validate_distance_set(d_set, dm.partial_diameter)
     wanted = set(ds)
     return tuple(
@@ -168,7 +168,14 @@ def weight_profile(
     *,
     clamp: bool = False,
 ) -> WeightProfile:
-    values = check_labeling(labels, g.n)
+    return _weigh(g, check_labeling(labels, g.n), d_set, clamp)
+
+
+def _weigh(
+    g: OrientedGraph, values: tuple[int, ...], d_set: Iterable[int],
+    clamp: bool = False,
+) -> WeightProfile:
+    """weight_profile of labels already checked: directed runs or BFS balls."""
     runs = _linear_forest_runs(g)
     if runs is not None:
         weights = _run_weights(runs, values, d_set, clamp)
@@ -190,7 +197,8 @@ def _linear_forest_runs(g: OrientedGraph) -> list[list[int]] | None:
     at distance d on each run through it, and nothing else but itself.
     """
     succ, pred = g.successors, g.predecessors
-    if any(len(s) + len(p) > 2 for s, p in zip(succ, pred)):
+    if len(g.arcs) >= g.n or any(
+            len(s) + len(p) > 2 for s, p in zip(succ, pred)):
         return None
     runs: list[list[int]] = []
     at: dict[int, list[list[int]]] = {}  # the runs that start or end at v
@@ -244,13 +252,6 @@ def _run_weights(
             for v, u in zip(run, run[d:]):
                 weights[v] += values[u]
     return tuple(weights)
-
-
-def _profile(
-    values: tuple[int, ...], table: tuple[tuple[int, ...], ...],
-) -> WeightProfile:
-    weights = tuple(sum(values[u] for u in nb) for nb in table)
-    return WeightProfile(weights, _collisions(weights))
 
 
 def is_d_antimagic(
@@ -334,13 +335,13 @@ def check_duality(
     if not is_strongly_connected(g):
         raise TheoremPreconditionError(
             "duality needs a strongly connected graph")
-    dm = all_pairs_distances(g)
-    ds = validate_distance_set(d_set, dm.partial_diameter)
-    comp = complement_distance_set(ds, dm.partial_diameter)
+    diam = partial_diameter(g)
+    ds = validate_distance_set(d_set, diam)
+    comp = complement_distance_set(ds, diam)
     n = g.n
     values = check_labeling(labels, n)
-    profile_d = _profile(values, neighborhood_table(g, ds, dm=dm))
-    profile_c = _profile(values, neighborhood_table(g, comp, dm=dm))
+    profile_d = _weigh(g, values, ds)
+    profile_c = _weigh(g, values, comp)
     return DualityReport(
         d_set=ds,
         complement_set=comp,

@@ -243,7 +243,7 @@ def _split_range(total: int, jobs: int) -> list[tuple[int, int]]:
 def _pool_size(jobs: int, tasks: int) -> int:
     """Pool size for tasks units of work: jobs, capped at the usable CPUs."""
     require_int("jobs", jobs, lo=1)
-    if jobs == 1:  # sweeps take this path ~10^5 times; skip the CPU query
+    if jobs == 1:  # the small sweeps search ~1900 times; skip the CPU query
         return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))

@@ -14,6 +14,12 @@ dense_distances is the per-source deque BFS that filled every row of
 the distance matrix before the verifiers moved to BFS balls cut off at
 max(D), and dense_weight_profile the weight_profile that read its
 weights off that matrix, both kept word for word as the reference.
+dense_check_duality is check_duality from before it weighed like
+weight_profile: one full distance matrix, two neighborhood tables read
+off it and a dense sum over each (_profile, moved here from
+antimagic.labeling).  It is kept word for word but for the labeling.
+prefixes, so a test that forces labeling.is_strongly_connected forces
+both.
 
 is_linear_forest and linear_forest_edges decide and list linear
 forests by union-find on the underlying edges, independently of the
@@ -29,9 +35,10 @@ antimagic.search._scan_range replaced, kept word for word as the
 reference; flat_search wraps it in the search's counting rules.
 
 duality_sweep_graph is the loop of antimagic.search.duality_sweep_graph
-from before the level-sum kernel, kept word for word as the reference:
-one labeling.check_duality per distance set and labeling, each paying
-for its own distance matrix and neighborhood tables.
+from before the level-sum kernel, kept word for word as the reference
+but for checking each distance set and labeling with
+dense_check_duality, which pays for its own distance matrix and
+neighborhood tables.
 
 The labelled-graph sweeps at the end are the one exception: they run
 the package's own per-graph kernels on every labelled graph, tree,
@@ -39,7 +46,10 @@ oriented path or linear forest, the slow path that the
 isomorphism-class sweeps of antimagic.search replace.  The path and
 forest sweeps are the labelled loops of check_path_characterizations
 and check_forest_lemmas from before those ran one graph per class, kept
-word for word but for the search. prefixes.  They look each kernel up
+word for word but for the search. prefixes.  They compare predictions
+through _check_predictions and sweep a path through _sweep_path_mask,
+copied from antimagic.search in the same way, so that a rewrite of the
+sweeps there leaves the reference as it was.  They look each kernel up
 on antimagic.search (the necessary condition on antimagic.labeling) at
 call time, so a test that monkeypatches a kernel changes both paths
 alike.
@@ -53,12 +63,19 @@ from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from antimagic import (
+    THETA_DOUBLE_PRIME,
+    THETA_PRIME,
+    UNIDIRECTIONAL,
     DistanceMatrix,
+    DualityReport,
     InvalidParameterError,
     OrientedGraph,
     TheoremPreconditionError,
     WeightProfile,
+    all_pairs_distances,
+    build_path,
     check_labeling,
+    complement_distance_set,
     labeling,
     search,
     validate_distance_set,
@@ -81,6 +98,10 @@ from antimagic.search import (
     FOREST_UNIFORM_ZERO_TOP,
     FOUND,
     MAGIC_WINDOW,
+    PATH_MIN_ONE,
+    PATH_MIN_TWO_PLUS,
+    PATH_TOP_DISTANCE,
+    PATH_ZERO_PENULTIMATE,
     TREE_DEPTH_ONE,
     CharacterizationCheck,
     NeighborhoodSurvey,
@@ -199,8 +220,48 @@ def dense_weight_profile(
     values = check_labeling(labels, g.n)
     dm = dense_distances(g)
     ds = validate_distance_set(d_set, dm.partial_diameter, clamp)
-    return labeling._profile(values,
-                             labeling.neighborhood_table(g, ds, dm=dm))
+    return _profile(values, labeling.neighborhood_table(g, ds, dm=dm))
+
+
+def _profile(
+    values: tuple[int, ...], table: tuple[tuple[int, ...], ...],
+) -> WeightProfile:
+    weights = tuple(sum(values[u] for u in nb) for nb in table)
+    return WeightProfile(weights, labeling._collisions(weights))
+
+
+def dense_check_duality(
+    g: OrientedGraph,
+    labels: Sequence[int],
+    d_set: Iterable[int],
+) -> DualityReport:
+    """Weights under d_set and its complement, with the identities they satisfy.
+
+    Needs a strongly connected graph: only then is every distance finite,
+    so the two neighborhoods of a vertex partition the whole vertex set
+    and the paired weights add up to n(n+1)/2.
+    """
+    if not labeling.is_strongly_connected(g):
+        raise TheoremPreconditionError(
+            "duality needs a strongly connected graph")
+    dm = all_pairs_distances(g)
+    ds = validate_distance_set(d_set, dm.partial_diameter)
+    comp = complement_distance_set(ds, dm.partial_diameter)
+    n = g.n
+    values = check_labeling(labels, n)
+    profile_d = _profile(values, labeling.neighborhood_table(g, ds, dm=dm))
+    profile_c = _profile(values, labeling.neighborhood_table(g, comp, dm=dm))
+    return DualityReport(
+        d_set=ds,
+        complement_set=comp,
+        label_total=n * (n + 1) // 2,
+        weight_sums=tuple(
+            a + b for a, b in zip(profile_d.weights, profile_c.weights)),
+        antimagic_d=profile_d.distinct,
+        antimagic_complement=profile_c.distinct,
+        magic_d=profile_d.magic_constant,
+        magic_complement=profile_c.magic_constant,
+    )
 
 
 def all_antimagic_labelings(n: int, arcs: Iterable[tuple[int, int]],
@@ -373,7 +434,7 @@ def duality_sweep_graph(
     tally = search._Tally(COMPLEMENT_DUALITY)
     for ds in search._proper_subsets(dm.partial_diameter):
         for labels in search._label_iter(g.n, trials, seed):
-            tally.record([] if labeling.check_duality(g, labels, ds).ok else
+            tally.record([] if dense_check_duality(g, labels, ds).ok else
                          [(tuple(sorted(g.arcs)), ds, labels)])
     return tally.check(swept=1)
 
@@ -435,11 +496,62 @@ def survey_neighborhood_sufficiency(order: int) -> NeighborhoodSurvey:
     return NeighborhoodSurvey(order, pairs, necessary_ok, antimagic, gap)
 
 
+def _check_predictions(
+    g: OrientedGraph,
+    cases: Iterable[tuple[search._Tally, tuple[int, ...], bool]],
+    key: tuple,
+) -> None:
+    """Compare (tally, distance set, predicted verdict) cases on g to a search.
+
+    A set reaching past the partial diameter counts as skipped in its
+    tally.  Each distinct set is searched once; a verdict other than the
+    predicted one is recorded as key + (ds, predicted, found).
+    """
+    dm = search.all_pairs_distances(g)
+    verdicts: dict[tuple[int, ...], bool] = {}
+    for tally, ds, predicted in cases:
+        if ds[-1] > dm.partial_diameter:
+            tally.skipped += 1
+            continue
+        if ds not in verdicts:
+            verdicts[ds] = search.exhaustive_labeling_search(g, ds, dm=dm).found
+        found = verdicts[ds]
+        tally.record([] if found == predicted
+                     else [key + (ds, predicted, found)])
+
+
+def _sweep_path_mask(args: tuple[int, int]) -> tuple[search._Tally, ...]:
+    """Check all four path families on one oriented path (worker body)."""
+    n, mask = args
+    g = build_path(n, mask)
+    kind = search.classify_path_orientation(g)
+    families = (
+        (PATH_MIN_ONE,
+         ((1,) + extra for extra in search._powerset(range(2, n))),
+         lambda ds: kind == UNIDIRECTIONAL),
+        (PATH_MIN_TWO_PLUS,
+         (ds for ds in search._powerset(range(2, n)) if ds),
+         lambda ds: False),
+        (PATH_TOP_DISTANCE,
+         (base + (n - 1,) for base in search._powerset(range(n - 1))),
+         lambda ds: kind == UNIDIRECTIONAL and ds[0] <= 1),
+        (PATH_ZERO_PENULTIMATE,
+         ((0,) + mid + (n - 2,) for mid in search._powerset(range(1, n - 2))),
+         lambda ds: kind in (UNIDIRECTIONAL, THETA_PRIME, THETA_DOUBLE_PRIME)),
+    )
+    tallies = tuple(search._Tally(tag) for tag, _, _ in families)
+    cases = ((tally, ds, predict(ds))
+             for tally, (_, domain, predict) in zip(tallies, families)
+             for ds in domain)
+    _check_predictions(g, cases, (n, mask))
+    return tallies
+
+
 def check_tree_characterization(n_max: int) -> CharacterizationCheck:
     tally = search._Tally(TREE_DEPTH_ONE)
     for n in range(2, n_max + 1):
         for g in search.enumerate_trees(n):
-            search._check_predictions(
+            _check_predictions(
                 g, [(tally, (1,), search.is_unidirectional_path(g))],
                 (n, tuple(sorted(g.arcs))))
     return tally.check()
@@ -455,7 +567,7 @@ def check_path_characterizations(
             for n in range(3, n_max + 1)
             for mask in range(2 ** (n - 1))]
     merged: dict[str, search._Tally] = {}
-    for tallies in search._map(search._sweep_path_mask, work, jobs):
+    for tallies in search._map(_sweep_path_mask, work, jobs):
         for tally in tallies:
             merged.setdefault(tally.tag, search._Tally(tally.tag)).merge(tally)
     return tuple(tally.check() for tally in merged.values())
@@ -479,26 +591,26 @@ def check_forest_lemmas(
                 bits = _mask_to_bits(mask, edges)
                 g = build_forest(
                     LinearForestSpec.from_lengths(lengths, EXPLICIT, bits))
-                search._check_predictions(g, chain(
+                _check_predictions(g, chain(
                     ((fam1, (1,) + extra, False)
                      for extra in search._powerset(range(2, top))),
                     ((fam2, ds, False)
                      for ds in search._powerset(range(2, top)) if ds),
                 ), (lengths, bits))
                 if mask == 0:  # all-zero bits build the phi forest
-                    search._check_predictions(g, [(fam4, (0, 1), True)],
-                                              (lengths, "tail-to-head"))
+                    _check_predictions(g, [(fam4, (0, 1), True)],
+                                       (lengths, "tail-to-head"))
 
     for n in range(2, max_total_order + 1):
         for m in range(2, max_total_order // n + 1):
-            search._check_predictions(
+            _check_predictions(
                 build_forest(mpn_spec(m, n)),
                 ((fam3, (0,) + extra, True)
                  for extra in search._powerset(range(1, n))),
                 ((m, n), "tail-to-head"))
             for copy_mask in range(2 ** (n - 1)):
                 copy_bits = _mask_to_bits(copy_mask, n - 1)
-                search._check_predictions(
+                _check_predictions(
                     build_forest(mpn_spec(m, n, EXPLICIT, copy_bits * m)),
                     [(fam5, (0, n - 1), copy_mask in (0, 2 ** (n - 1) - 1))],
                     ((m, n), copy_bits))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from antimagic import (
     OrientedGraph,
     build_cycle,
+    cli,
     generators,
     serialize,
     canonical_json,
@@ -430,6 +431,52 @@ def _assert_one_short_error_line(code, captured):
         "forest-spec"])
 def test_long_inputs_echo_a_bounded_error_line(argv, capsys):
     _assert_one_short_error_line(main(argv), capsys.readouterr())
+
+
+# (command line up to the flag, flag) for every option that takes an integer
+_NUMERIC_FLAGS = [
+    (["construct", "--family", "uni-path"], "--n"),
+    (["construct", "--family", "mpn"], "--m"),
+    (["construct", "--family", "mpn"], "--k"),
+    (["search", "--D", "1"], "--cycle"),
+    (["search", "--D", "1"], "--path"),
+    (["search", "--D", "1"], "--order"),
+    (["search", "--D", "1"], "--lambda"),
+    (["search", "--D", "1"], "--budget"),
+    (["search", "--D", "1"], "--jobs"),
+    (["sweep", "path-characterizations"], "--n-max"),
+    (["sweep", "forest-lemmas"], "--total"),
+    (["sweep", "magic-bounds"], "--order"),
+    (["sweep", "duality"], "--cycle"),
+    (["sweep", "duality"], "--trials"),
+    (["sweep", "duality"], "--seed"),
+    (["sweep", "duality"], "--jobs"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", _NUMERIC_FLAGS,
+                         ids=[f"{argv[0]}{flag}" for argv, flag in _NUMERIC_FLAGS])
+def test_numbers_past_the_int_limit_echo_a_bounded_error_line(argv, flag,
+                                                              capsys):
+    # int() refuses more than 4300 digits; argparse alone echoes them all
+    code = main([*argv, flag, "9" * 5000])
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert code == 2
+    assert len(errors) == 1
+    assert len(errors[0]) <= 200
+
+
+def test_every_integer_flag_has_a_bounded_echo(capsys):
+    parser = cli._build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    typed = {(command, action.option_strings[0])
+             for command, sub in commands.items() for action in sub._actions
+             if action.type is not None}
+    assert typed == {(argv[0], flag) for argv, flag in _NUMERIC_FLAGS}
+    assert main(["sweep", "magic-bounds", "--order", "x"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "antimagic sweep: error: argument --order: invalid int value: 'x'")
 
 
 @pytest.mark.parametrize("argv", [

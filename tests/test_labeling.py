@@ -5,7 +5,8 @@ from __future__ import annotations
 import inspect
 import random
 import tracemalloc
-from itertools import product
+from collections import Counter
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from antimagic import (
     check_labeling,
     complement_distance_set,
     d_neighborhood,
+    digraph,
     enumerate_oriented_graphs,
     is_d_antimagic,
     is_d_magic,
@@ -342,6 +344,85 @@ def test_bad_labeling_is_reported_before_a_bad_distance_set():
             fn(g, (1, 2, 3, 4), (9,))
         with pytest.raises(InvalidDistanceSetError, match="empty"):
             fn(g, (1, 2, 3, 4), (4, 9), clamp=True)
+
+
+def _check_duality_against_dense(g, draw_labels):
+    """check_duality on g against the dense reference, for every D.
+
+    D runs over the non-empty subsets of {0..pd+1}, so a set past the
+    partial diameter and one whose complement is empty are compared as
+    errors.  draw_labels() gives the labelings to try under each D.
+    """
+    pd = oracles.partial_diameter(g.n, g.arcs)
+    for ds in filter(None, search._powerset(range(pd + 2))):
+        for labels in draw_labels():
+            assert (_outcome(check_duality, g, labels, ds)
+                    == _outcome(oracles.dense_check_duality, g, labels, ds)), \
+                (g, labels, ds)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_duality_matches_the_dense_reference(n):
+    rng = random.Random(n)
+    every = list(permutations(range(1, n + 1)))
+    for g in enumerate_oriented_graphs(n):
+        if search.is_strongly_connected(g):
+            _check_duality_against_dense(
+                g, lambda: every if n <= 3 else rng.sample(every, 5))
+
+
+def test_duality_matches_the_dense_reference_on_cycles():
+    rng = random.Random(8)
+    for n in range(3, 9):
+        _check_duality_against_dense(build_cycle(n), lambda: [
+            tuple(rng.sample(range(1, n + 1), n)) for _ in range(2)])
+
+
+def test_forced_duality_matches_the_dense_reference_on_paths(monkeypatch):
+    # a path has unreachable pairs, so the paired weights miss labels
+    monkeypatch.setattr(labeling, "is_strongly_connected", lambda g: True)
+    rng = random.Random(5)
+    for n in range(3, 6):
+        for mask in range(2 ** (n - 1)):
+            g = build_path(n, mask)
+            labels = tuple(rng.sample(range(1, n + 1), n))
+            _check_duality_against_dense(g, lambda: [labels])
+            assert not check_duality(g, labels, (0,)).sums_ok
+
+
+def test_duality_memory_is_linear_in_the_order():
+    # the full 400 x 400 distance matrix peaked at 6.1 MB here
+    n = 400
+    g = build_cycle(n)
+    tracemalloc.start()
+    try:
+        report = check_duality(g, range(1, n + 1), (0, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 2**20
+
+
+def test_duality_checks_the_labeling_once_and_builds_no_matrix(monkeypatch):
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(labeling, "check_labeling", counted(
+        "check_labeling", labeling.check_labeling))
+    apd = counted("all_pairs_distances", digraph.all_pairs_distances)
+    for module in (digraph, labeling):
+        monkeypatch.setattr(module, "all_pairs_distances", apd, raising=False)
+    for g, labels, ds in ((build_cycle(5), (3, 1, 4, 5, 2), (1, 3)),
+                          (build_cycle(4), (1, 2, 4, 3), (0,))):
+        calls.clear()
+        assert check_duality(g, labels, ds).ok
+        assert calls == {"check_labeling": 1}
 
 
 def test_balls_stop_at_the_largest_distance(monkeypatch):
